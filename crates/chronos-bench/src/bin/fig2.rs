@@ -30,7 +30,7 @@ struct Fig2Cell {
 fn main() {
     let scale = Scale::from_args();
     let theta = 1e-4;
-    let chronos_config = ChronosPolicyConfig::testbed();
+    let builder = PolicyBuilder::new(ChronosPolicyConfig::testbed());
 
     let mut cells: Vec<Fig2Cell> = Vec::new();
     let policy_order: Vec<&str> = vec!["hadoop-ns", "hadoop-s", "clone", "s-restart", "s-resume"];
@@ -51,7 +51,7 @@ fn main() {
         .expect("baseline simulation");
         let r_min = baseline.pocd();
 
-        for (kind, policy) in figure2_lineup(chronos_config) {
+        for (kind, policy) in figure2_lineup(&builder) {
             let report = run_policy(
                 &testbed_sim_config(42 + bench_index as u64),
                 policy,

@@ -11,13 +11,14 @@
 //! unchanged.
 
 use chronos_bench::{
-    figure3_lineup_cached, load_trace_jobs_or_exit, measure, print_table, run_policy,
+    figure3_lineup, load_trace_jobs_or_exit, measure, print_table, run_policy,
     trace_path_from_args, trace_sim_config, write_json, Measurement, Row, Scale, UtilitySpec,
 };
 use chronos_sim::prelude::PlanCache;
 use chronos_strategies::prelude::*;
 use chronos_trace::prelude::*;
 use serde::Serialize;
+use std::sync::Arc;
 
 #[derive(Debug, Serialize)]
 struct Fig3Cell {
@@ -52,7 +53,8 @@ fn main() {
         let chronos_config = ChronosPolicyConfig::with_theta(*theta)
             .expect("theta is valid")
             .with_timing(StrategyTiming::trace_default());
-        for (kind, policy) in figure3_lineup_cached(chronos_config, &cache) {
+        let builder = PolicyBuilder::new(chronos_config).cached(Arc::clone(&cache));
+        for (kind, policy) in figure3_lineup(&builder) {
             let report = run_policy(&trace_sim_config(29 + index as u64), policy, jobs.clone())
                 .expect("simulation");
             let m: Measurement = measure(&report, UtilitySpec::new(*theta, 0.0));

@@ -11,13 +11,14 @@
 //! point labelled `trace` (its `beta` is `null` in the JSON artifact).
 
 use chronos_bench::{
-    figure2_lineup_cached, load_trace_jobs_or_exit, measure, print_table, run_policy,
+    figure2_lineup, load_trace_jobs_or_exit, measure, print_table, run_policy,
     trace_path_from_args, trace_sim_config, write_json, Row, Scale, UtilitySpec,
 };
 use chronos_sim::prelude::{JobSpec, PlanCache};
 use chronos_strategies::prelude::*;
 use chronos_trace::prelude::*;
 use serde::Serialize;
+use std::sync::Arc;
 
 #[derive(Debug, Serialize)]
 struct Fig4Cell {
@@ -63,10 +64,11 @@ fn main() {
     // are optimized once per strategy instead of once per job, with
     // bit-identical measurements.
     let cache = PlanCache::shared();
+    let builder = PolicyBuilder::new(chronos_config).cached(Arc::clone(&cache));
 
     let mut cells: Vec<Fig4Cell> = Vec::new();
     for (index, (label, beta, jobs)) in sweep.iter().enumerate() {
-        for (kind, policy) in figure2_lineup_cached(chronos_config, &cache) {
+        for (kind, policy) in figure2_lineup(&builder) {
             let report = run_policy(&trace_sim_config(37 + index as u64), policy, jobs.clone())
                 .expect("simulation");
             let m = measure(&report, UtilitySpec::new(theta, 0.0));

@@ -430,78 +430,60 @@ pub fn read_json<T: for<'de> Deserialize<'de>>(path: &Path) -> std::io::Result<T
 }
 
 /// The standard five-policy line-up of Figure 2 (Hadoop-NS, Hadoop-S and the
-/// three Chronos strategies) built for a given Chronos configuration.
+/// three Chronos strategies), built by `builder`. A builder over a shared
+/// plan cache ([`PolicyBuilder::cached`]) solves each repeated job profile
+/// once, within one run and across sweep points reusing the cache, with
+/// measurements bit-identical to an uncached builder.
+///
+/// # Panics
+///
+/// When `builder` carries a finite budget, which the baselines reject.
 #[must_use]
-pub fn figure2_lineup(
-    config: ChronosPolicyConfig,
-) -> Vec<(PolicyKind, Box<dyn SpeculationPolicy>)> {
-    [
-        PolicyKind::HadoopNoSpec,
-        PolicyKind::HadoopSpeculate,
-        PolicyKind::Clone,
-        PolicyKind::SpeculativeRestart,
-        PolicyKind::SpeculativeResume,
-    ]
-    .into_iter()
-    .map(|kind| (kind, kind.build(config)))
-    .collect()
+pub fn figure2_lineup(builder: &PolicyBuilder) -> Vec<(PolicyKind, Box<dyn SpeculationPolicy>)> {
+    lineup(
+        builder,
+        &[
+            PolicyKind::HadoopNoSpec,
+            PolicyKind::HadoopSpeculate,
+            PolicyKind::Clone,
+            PolicyKind::SpeculativeRestart,
+            PolicyKind::SpeculativeResume,
+        ],
+    )
 }
 
 /// The four-policy line-up of Figure 3 (Mantri plus the three Chronos
-/// strategies).
+/// strategies), built by `builder` (see [`figure2_lineup`]).
+///
+/// # Panics
+///
+/// As for [`figure2_lineup`].
 #[must_use]
-pub fn figure3_lineup(
-    config: ChronosPolicyConfig,
-) -> Vec<(PolicyKind, Box<dyn SpeculationPolicy>)> {
-    [
-        PolicyKind::Mantri,
-        PolicyKind::Clone,
-        PolicyKind::SpeculativeRestart,
-        PolicyKind::SpeculativeResume,
-    ]
-    .into_iter()
-    .map(|kind| (kind, kind.build(config)))
-    .collect()
+pub fn figure3_lineup(builder: &PolicyBuilder) -> Vec<(PolicyKind, Box<dyn SpeculationPolicy>)> {
+    lineup(
+        builder,
+        &[
+            PolicyKind::Mantri,
+            PolicyKind::Clone,
+            PolicyKind::SpeculativeRestart,
+            PolicyKind::SpeculativeResume,
+        ],
+    )
 }
 
-/// [`figure2_lineup`] over a shared plan cache: the Chronos strategies in
-/// the line-up memoize their optimizations into `cache`, so repeated job
-/// profiles — within one run and across sweep points reusing the cache —
-/// are solved once. Measurements are bit-identical to the uncached
-/// line-up.
-#[must_use]
-pub fn figure2_lineup_cached(
-    config: ChronosPolicyConfig,
-    cache: &std::sync::Arc<PlanCache>,
+fn lineup(
+    builder: &PolicyBuilder,
+    kinds: &[PolicyKind],
 ) -> Vec<(PolicyKind, Box<dyn SpeculationPolicy>)> {
-    [
-        PolicyKind::HadoopNoSpec,
-        PolicyKind::HadoopSpeculate,
-        PolicyKind::Clone,
-        PolicyKind::SpeculativeRestart,
-        PolicyKind::SpeculativeResume,
-    ]
-    .into_iter()
-    .map(|kind| (kind, kind.build_with_cache(config, cache)))
-    .collect()
-}
-
-/// [`figure3_lineup`] over a shared plan cache (see
-/// [`figure2_lineup_cached`]).
-#[must_use]
-pub fn figure3_lineup_cached(
-    config: ChronosPolicyConfig,
-    cache: &std::sync::Arc<PlanCache>,
-) -> Vec<(PolicyKind, Box<dyn SpeculationPolicy>)> {
-    [
-        PolicyKind::Mantri,
-        PolicyKind::Clone,
-        PolicyKind::SpeculativeRestart,
-        PolicyKind::SpeculativeResume,
-    ]
-    .into_iter()
-    .map(|kind| (kind, kind.build_with_cache(config, cache)))
-    .collect()
+    kinds
+        .iter()
+        .map(|&kind| {
+            let policy = builder
+                .build(kind)
+                .unwrap_or_else(|err| panic!("line-up policy {kind}: {err}"));
+            (kind, policy)
+        })
+        .collect()
 }
 
 /// FNV-1a 64 digest of a report's canonical JSON, as a hex string. The
@@ -588,11 +570,11 @@ mod tests {
 
     #[test]
     fn lineups_have_expected_members() {
-        let config = ChronosPolicyConfig::testbed();
-        let fig2 = figure2_lineup(config);
+        let builder = PolicyBuilder::new(ChronosPolicyConfig::testbed());
+        let fig2 = figure2_lineup(&builder);
         assert_eq!(fig2.len(), 5);
         assert_eq!(fig2[0].0, PolicyKind::HadoopNoSpec);
-        let fig3 = figure3_lineup(config);
+        let fig3 = figure3_lineup(&builder);
         assert_eq!(fig3.len(), 4);
         assert_eq!(fig3[0].0, PolicyKind::Mantri);
     }
@@ -642,10 +624,10 @@ mod tests {
             .generate()
             .unwrap();
         let config = testbed_sim_config(9);
-        let chronos = ChronosPolicyConfig::testbed();
+        let builder = PolicyBuilder::new(ChronosPolicyConfig::testbed());
         let cache = PlanCache::shared();
-        let cached = figure3_lineup_cached(chronos, &cache);
-        let uncached = figure3_lineup(chronos);
+        let cached = figure3_lineup(&builder.clone().cached(std::sync::Arc::clone(&cache)));
+        let uncached = figure3_lineup(&builder);
         for ((kind_a, cached_policy), (kind_b, uncached_policy)) in cached.into_iter().zip(uncached)
         {
             assert_eq!(kind_a, kind_b);
@@ -656,7 +638,6 @@ mod tests {
         }
         // The three Chronos strategies shared the cache: one profile each.
         assert_eq!(cache.stats().misses, 3);
-        assert_eq!(figure2_lineup_cached(chronos, &cache).len(), 5);
     }
 
     #[test]

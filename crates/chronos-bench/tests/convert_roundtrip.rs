@@ -115,7 +115,10 @@ fn converted_trace_replays_bit_identically_at_1_and_8_workers() {
             .expect("valid chunk size");
         let (report, stats) = runner
             .run_chunked_fallible_planned(&cache, stream, |_, cache: Arc<PlanCache>| {
-                PolicyKind::SpeculativeResume.build_with_cache(chronos_config, &cache)
+                PolicyBuilder::new(chronos_config)
+                    .cached(cache)
+                    .build(PolicyKind::SpeculativeResume)
+                    .expect("unbudgeted build")
             })
             .expect("replay succeeds");
         assert_eq!(report.job_count(), 7);

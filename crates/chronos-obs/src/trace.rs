@@ -85,7 +85,8 @@ pub enum TraceEvent {
         hits: u64,
         /// Lookups that computed a fresh plan.
         misses: u64,
-        /// Entries evicted under capacity pressure.
+        /// Always 0: the plan cache never evicts. Kept only because pinned
+        /// outputs (the decision-log digest and golden logs) include it.
         evictions: u64,
         /// Entries resident at snapshot time.
         entries: u64,

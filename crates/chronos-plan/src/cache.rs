@@ -15,9 +15,9 @@
 //!   profile is therefore solved **exactly once** per cache lifetime, which
 //!   also makes the hit/miss counters deterministic: misses equal the
 //!   number of distinct keys requested, independent of thread scheduling.
-//! * **Counters.** Hits, misses and evictions accumulate in relaxed atomics
-//!   and are exposed as a [`CacheStats`] snapshot; `CacheStats::since`
-//!   computes the delta over a measured region (one replay, one batch).
+//! * **Counters.** Hits and misses accumulate in relaxed atomics and are
+//!   exposed as a [`CacheStats`] snapshot; `CacheStats::since` computes
+//!   the delta over a measured region (one replay, one batch).
 //!
 //! The cache stores failed solves too: an infeasible profile is negative —
 //! cached, so a trace full of hopeless jobs pays the infeasibility proof
@@ -27,7 +27,7 @@ use crate::key::ProfileKey;
 use crate::planner::PlanResult;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -35,84 +35,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// A single-flight entry: solved at most once, shared by all requesters.
 type Slot = Arc<OnceLock<PlanResult>>;
 
-/// A resident entry plus its second-chance reference bit.
-#[derive(Debug)]
-struct Resident {
-    slot: Slot,
-    /// Set on every hit, cleared (once) by the eviction scan: an entry hit
-    /// since the scan last passed it survives one more round.
-    referenced: bool,
-}
-
-impl Resident {
-    /// The entry's memory footprint in bytes: the fixed slot overhead plus
-    /// whatever the resolved result keeps on the heap. `Plan` is `Copy`
-    /// (all-inline), so successful solves weigh the floor; a negative-cached
-    /// error additionally owns its message bytes. An in-flight entry reads
-    /// as the floor too — its final size is unknown and evicting a solve
-    /// that threads are blocked on would waste the work in progress.
-    fn footprint(&self) -> usize {
-        let floor = std::mem::size_of::<Resident>() + std::mem::size_of::<PlanResult>();
-        match self.slot.get() {
-            Some(Err(err)) => floor + err.to_string().len(),
-            Some(Ok(_)) | None => floor,
-        }
-    }
-}
-
-/// One lock stripe: the entry map plus the FIFO scan order the
-/// second-chance eviction walks. `order` contains exactly the resident
-/// keys, oldest insertion first.
-#[derive(Debug, Default)]
-struct Stripe {
-    map: HashMap<ProfileKey, Resident>,
-    order: VecDeque<ProfileKey>,
-}
-
-impl Stripe {
-    /// Evicts one entry by the size-aware clock/second-chance rule: scan
-    /// one lap of the FIFO order, give each referenced entry its second
-    /// chance (clear the bit), and among the unreferenced entries victimize
-    /// the one with the **largest [`Resident::footprint`]** — under
-    /// capacity pressure, evicting the heaviest cold entry frees the most
-    /// memory per eviction. Equal footprints (the common case: every
-    /// successful solve weighs the same) tie-break toward the **smallest
-    /// key**, which is deterministic across runs and hosts — never the
-    /// map's per-process iteration order. A lap that finds every entry
-    /// referenced clears all the bits, so the second lap always yields a
-    /// victim.
-    fn evict_one(&mut self) {
-        for _lap in 0..2 {
-            let mut victim: Option<(usize, ProfileKey, usize)> = None;
-            for (position, key) in self.order.iter().enumerate() {
-                let resident = self
-                    .map
-                    .get_mut(key)
-                    .expect("order contains exactly the resident keys");
-                if resident.referenced {
-                    resident.referenced = false;
-                    continue;
-                }
-                let weight = resident.footprint();
-                let heavier = match &victim {
-                    None => true,
-                    Some((best_weight, best_key, _)) => {
-                        weight > *best_weight || (weight == *best_weight && *key < *best_key)
-                    }
-                };
-                if heavier {
-                    victim = Some((weight, *key, position));
-                }
-            }
-            if let Some((_, key, position)) = victim {
-                self.map.remove(&key);
-                self.order.remove(position);
-                return;
-            }
-        }
-        unreachable!("a bit-cleared lap over a non-empty stripe yields a victim");
-    }
-}
+/// One lock stripe: the entry map for the keys hashed to it.
+type Stripe = HashMap<ProfileKey, Slot>;
 
 /// Snapshot of a [`PlanCache`]'s counters.
 ///
@@ -123,10 +47,11 @@ pub struct CacheStats {
     /// Lookups that found an existing entry (including entries whose solve
     /// was still in flight on another thread).
     pub hits: u64,
-    /// Lookups that inserted a new entry. With an unbounded cache this
-    /// equals the number of distinct profiles requested.
+    /// Lookups that inserted a new entry: one per distinct profile
+    /// requested, plus one per re-request after a [`PlanCache::clear`].
     pub misses: u64,
-    /// Entries removed to respect a configured capacity.
+    /// Always 0: the cache never evicts. Kept only because pinned outputs
+    /// (the decision-log digest and the Prometheus golden) include it.
     pub evictions: u64,
     /// Entries resident at snapshot time.
     pub entries: u64,
@@ -186,10 +111,10 @@ impl CacheStats {
     /// # Contract
     ///
     /// `earlier` must be an **earlier snapshot of the same cache**. The
-    /// monotone counters (`hits`, `misses`, `evictions`) never decrease
-    /// over a cache's lifetime — [`PlanCache::clear`] deliberately
-    /// preserves them exactly so that a snapshot taken before a `clear`
-    /// stays a valid `earlier` afterwards — so a componentwise-greater
+    /// monotone counters (`hits`, `misses`) never decrease over a cache's
+    /// lifetime — [`PlanCache::clear`] deliberately preserves them exactly
+    /// so that a snapshot taken before a `clear` stays a valid `earlier`
+    /// afterwards — so a componentwise-greater
     /// `earlier` can only mean the arguments were swapped or the snapshots
     /// come from two different caches. Debug builds reject that with a
     /// panic; release builds saturate each delta to zero rather than
@@ -197,16 +122,14 @@ impl CacheStats {
     #[must_use]
     pub fn since(&self, earlier: &CacheStats) -> CacheStats {
         debug_assert!(
-            earlier.hits <= self.hits
-                && earlier.misses <= self.misses
-                && earlier.evictions <= self.evictions,
+            earlier.hits <= self.hits && earlier.misses <= self.misses,
             "CacheStats::since: `earlier` ({earlier:?}) is not componentwise <= `self` \
              ({self:?}); snapshots must come from the same cache, oldest passed as `earlier`"
         );
         CacheStats {
             hits: self.hits.saturating_sub(earlier.hits),
             misses: self.misses.saturating_sub(earlier.misses),
-            evictions: self.evictions.saturating_sub(earlier.evictions),
+            evictions: 0,
             entries: self.entries,
         }
     }
@@ -241,11 +164,8 @@ impl std::fmt::Display for CacheStats {
 #[derive(Debug)]
 pub struct PlanCache {
     stripes: Vec<Mutex<Stripe>>,
-    /// Maximum entries per stripe (`None` = unbounded, the default).
-    stripe_capacity: Option<usize>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl PlanCache {
@@ -253,13 +173,13 @@ impl PlanCache {
     /// typical width rarely contends on one stripe lock.
     pub const DEFAULT_STRIPES: usize = 16;
 
-    /// An unbounded cache with [`PlanCache::DEFAULT_STRIPES`] stripes.
+    /// A cache with [`PlanCache::DEFAULT_STRIPES`] stripes.
     #[must_use]
     pub fn new() -> Self {
         PlanCache::with_stripes(Self::DEFAULT_STRIPES)
     }
 
-    /// An unbounded cache with an explicit stripe count (clamped to ≥ 1).
+    /// A cache with an explicit stripe count (clamped to ≥ 1).
     #[must_use]
     pub fn with_stripes(stripes: usize) -> Self {
         let stripes = stripes.max(1);
@@ -267,37 +187,9 @@ impl PlanCache {
             stripes: (0..stripes)
                 .map(|_| Mutex::new(Stripe::default()))
                 .collect(),
-            stripe_capacity: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
-    }
-
-    /// Bounds the cache to roughly `capacity` entries (split evenly across
-    /// stripes, at least one per stripe). When a stripe is full, an entry
-    /// is evicted by a **size-aware clock/second-chance** policy: eviction
-    /// scans the stripe's insertion-order FIFO, spares (once) every entry
-    /// hit since the scan last passed it, and among the rest removes the
-    /// one with the largest footprint — negative-cached errors carry their
-    /// message bytes, so they go before same-aged fixed-size plans. Equal
-    /// footprints tie-break toward the smallest key. Hot profiles therefore
-    /// stay resident under skewed request streams — unlike the earlier
-    /// smallest-key victim choice, which evicted an arbitrary resident and
-    /// could thrash on precisely the profiles a skewed stream re-requests.
-    /// The choice is still deterministic (it depends only on the stripe's
-    /// hit/insert sequence and the entries' contents, never on the map's
-    /// per-process hash seed), so single-threaded workloads replay their
-    /// eviction sequence exactly; the `evictions` counter records each
-    /// removal. Note that under eviction the hit/miss counts of a
-    /// *concurrent* workload are no longer scheduling-independent —
-    /// production replays should size the capacity above the distinct
-    /// profile count (or leave it unbounded, the default).
-    #[must_use]
-    pub fn with_capacity_limit(mut self, capacity: usize) -> Self {
-        let per_stripe = capacity.div_ceil(self.stripes.len()).max(1);
-        self.stripe_capacity = Some(per_stripe);
-        self
     }
 
     /// Wraps the cache for sharing across planners and worker threads.
@@ -308,9 +200,7 @@ impl PlanCache {
 
     fn stripe_of(&self, key: &ProfileKey) -> &Mutex<Stripe> {
         // DefaultHasher with default keys is deterministic, so the stripe
-        // layout does not change from run to run. (The stripe *maps* still
-        // use HashMap's per-process random state, which is why eviction
-        // scans the explicit insertion-order FIFO, never iteration order.)
+        // layout does not change from run to run.
         let mut hasher = DefaultHasher::new();
         key.hash(&mut hasher);
         let index = (hasher.finish() % self.stripes.len() as u64) as usize;
@@ -337,29 +227,13 @@ impl PlanCache {
                 .stripe_of(&key)
                 .lock()
                 .expect("plan cache stripe poisoned");
-            if let Some(resident) = stripe.map.get_mut(&key) {
+            if let Some(slot) = stripe.get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                // Second-chance bookkeeping: a hit marks the entry so the
-                // next eviction scan spares it once.
-                resident.referenced = true;
-                Arc::clone(&resident.slot)
+                Arc::clone(slot)
             } else {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                if let Some(capacity) = self.stripe_capacity {
-                    while stripe.map.len() >= capacity {
-                        stripe.evict_one();
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
                 let slot: Slot = Arc::new(OnceLock::new());
-                stripe.map.insert(
-                    key,
-                    Resident {
-                        slot: Arc::clone(&slot),
-                        referenced: false,
-                    },
-                );
-                stripe.order.push_back(key);
+                stripe.insert(key, Arc::clone(&slot));
                 slot
             }
         };
@@ -368,18 +242,14 @@ impl PlanCache {
 
     /// The already-memoized result for `key`, if any (never solves; an
     /// in-flight entry reads as absent). Does not touch the hit/miss
-    /// counters **or the entry's eviction recency** — this is an
-    /// inspection API, not a lookup.
+    /// counters — this is an inspection API, not a lookup.
     #[must_use]
     pub fn peek(&self, key: &ProfileKey) -> Option<PlanResult> {
         let stripe = self
             .stripe_of(key)
             .lock()
             .expect("plan cache stripe poisoned");
-        stripe
-            .map
-            .get(key)
-            .and_then(|resident| resident.slot.get().cloned())
+        stripe.get(key).and_then(|slot| slot.get().cloned())
     }
 
     /// Number of resident entries (including in-flight ones).
@@ -387,7 +257,7 @@ impl PlanCache {
     pub fn len(&self) -> usize {
         self.stripes
             .iter()
-            .map(|stripe| stripe.lock().expect("plan cache stripe poisoned").map.len())
+            .map(|stripe| stripe.lock().expect("plan cache stripe poisoned").len())
             .sum()
     }
 
@@ -404,9 +274,7 @@ impl PlanCache {
     /// saturate to zero).
     pub fn clear(&self) {
         for stripe in &self.stripes {
-            let mut stripe = stripe.lock().expect("plan cache stripe poisoned");
-            stripe.map.clear();
-            stripe.order.clear();
+            stripe.lock().expect("plan cache stripe poisoned").clear();
         }
     }
 
@@ -416,7 +284,7 @@ impl PlanCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            evictions: 0,
             entries: self.len() as u64,
         }
     }
@@ -503,120 +371,6 @@ mod tests {
         }
         assert_eq!(solves, 1);
         assert_eq!(cache.stats().hits, 1);
-    }
-
-    #[test]
-    fn capacity_limit_evicts_fifo_when_nothing_is_rehit() {
-        // One stripe so the capacity applies to a single map. With no
-        // re-hits and equal footprints (all successful solves), the
-        // smallest-key tie-break is the whole policy; these keys ascend
-        // with insertion, so eviction runs oldest-first —
-        // deterministically, never an artifact of the map's per-process
-        // iteration order.
-        let cache = PlanCache::with_stripes(1).with_capacity_limit(2);
-        for (index, deadline) in [100.0, 110.0, 120.0, 130.0].iter().enumerate() {
-            cache
-                .get_or_compute(key(*deadline), || plan(index as u32))
-                .unwrap();
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 4);
-        assert_eq!(stats.evictions, 2);
-        assert_eq!(stats.entries, 2);
-        // The two oldest insertions were evicted; the two newest survive.
-        assert!(cache.peek(&key(100.0)).is_none());
-        assert!(cache.peek(&key(110.0)).is_none());
-        assert!(cache.peek(&key(120.0)).is_some());
-        assert!(cache.peek(&key(130.0)).is_some());
-    }
-
-    #[test]
-    fn eviction_spares_recently_hit_entries() {
-        // Regression: the old policy evicted the smallest resident *key* —
-        // an arbitrary victim that thrashed on skewed streams, evicting the
-        // hot profile (smallest key 100) here. Second chance must spare the
-        // entry that was hit and evict the cold one instead.
-        let cache = PlanCache::with_stripes(1).with_capacity_limit(2);
-        cache.get_or_compute(key(100.0), || plan(1)).unwrap();
-        cache.get_or_compute(key(110.0), || plan(2)).unwrap();
-        // Re-hit the oldest (and smallest-keyed) entry: it is now hot.
-        cache.get_or_compute(key(100.0), || plan(1)).unwrap();
-        // The insert that forces an eviction must victimize the cold 110.
-        cache.get_or_compute(key(120.0), || plan(3)).unwrap();
-        assert!(cache.peek(&key(100.0)).is_some(), "hot entry was evicted");
-        assert!(cache.peek(&key(110.0)).is_none());
-        assert!(cache.peek(&key(120.0)).is_some());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 3, 1));
-        assert_eq!(stats.entries, 2);
-    }
-
-    #[test]
-    fn eviction_grants_each_entry_one_second_chance_per_scan() {
-        // Every resident is hot: the scan clears each reference bit once,
-        // laps, and then evicts in FIFO order — it must terminate and pick
-        // the oldest insertion.
-        let cache = PlanCache::with_stripes(1).with_capacity_limit(2);
-        cache.get_or_compute(key(100.0), || plan(1)).unwrap();
-        cache.get_or_compute(key(110.0), || plan(2)).unwrap();
-        cache.get_or_compute(key(100.0), || plan(1)).unwrap();
-        cache.get_or_compute(key(110.0), || plan(2)).unwrap();
-        cache.get_or_compute(key(120.0), || plan(3)).unwrap();
-        assert!(cache.peek(&key(100.0)).is_none(), "oldest should go first");
-        assert!(cache.peek(&key(110.0)).is_some());
-        assert!(cache.peek(&key(120.0)).is_some());
-        assert_eq!(cache.stats().evictions, 1);
-
-        // The lap consumed 110's second chance; an untouched follow-up
-        // insert evicts it without another grace round.
-        cache.get_or_compute(key(130.0), || plan(4)).unwrap();
-        assert!(cache.peek(&key(110.0)).is_none());
-        assert!(cache.peek(&key(120.0)).is_some());
-        assert!(cache.peek(&key(130.0)).is_some());
-        assert_eq!(cache.stats().evictions, 2);
-    }
-
-    #[test]
-    fn peek_does_not_refresh_eviction_recency() {
-        // peek is an inspection API: it must not mark an entry referenced,
-        // or observability would perturb the eviction sequence.
-        let cache = PlanCache::with_stripes(1).with_capacity_limit(2);
-        cache.get_or_compute(key(100.0), || plan(1)).unwrap();
-        cache.get_or_compute(key(110.0), || plan(2)).unwrap();
-        assert!(cache.peek(&key(100.0)).is_some());
-        cache.get_or_compute(key(120.0), || plan(3)).unwrap();
-        // Despite the peek, 100 (oldest, never re-hit) was the victim.
-        assert!(cache.peek(&key(100.0)).is_none());
-        assert!(cache.peek(&key(110.0)).is_some());
-    }
-
-    #[test]
-    fn eviction_weighs_entry_footprint_under_pressure() {
-        // Regression against the unweighted clock policy: the scan reaches
-        // the unreferenced small `Ok` entry first (oldest insertion) and
-        // would evict it. The size-aware policy must instead victimize the
-        // negative-cached error, whose message bytes make it the heaviest
-        // cold entry — even though it is newer.
-        let cache = PlanCache::with_stripes(1).with_capacity_limit(2);
-        cache.get_or_compute(key(100.0), || plan(1)).unwrap();
-        let heavy = cache.get_or_compute(key(110.0), || {
-            Err(chronos_core::ChronosError::infeasible(
-                "a deliberately long infeasibility explanation whose message bytes \
-                 dominate the fixed per-entry footprint of a successful plan",
-            ))
-        });
-        assert!(heavy.is_err());
-        cache.get_or_compute(key(120.0), || plan(3)).unwrap();
-        assert!(
-            cache.peek(&key(100.0)).is_some(),
-            "the small old entry must survive under size-aware eviction"
-        );
-        assert!(
-            cache.peek(&key(110.0)).is_none(),
-            "the heavy negative-cached error must be the victim"
-        );
-        assert!(cache.peek(&key(120.0)).is_some());
-        assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]

@@ -55,12 +55,27 @@ impl JobProfileKey {
     /// Builds the canonical key of a job profile.
     #[must_use]
     pub fn of(job: &JobProfile) -> Self {
+        JobProfileKey::from_parts(
+            job.tasks(),
+            job.t_min(),
+            job.beta(),
+            job.deadline(),
+            job.price(),
+        )
+    }
+
+    /// Builds the key from raw analytical inputs (`N`, `t_min`, `β`, `D`,
+    /// `C`) without validating them, for callers that hold the fields but
+    /// not a [`JobProfile`]. Equals [`JobProfileKey::of`] on the same
+    /// inputs.
+    #[must_use]
+    pub fn from_parts(tasks: u32, t_min: f64, beta: f64, deadline: f64, price: f64) -> Self {
         JobProfileKey {
-            tasks: job.tasks(),
-            t_min: canonical_f64_bits(job.t_min()),
-            beta: canonical_f64_bits(job.beta()),
-            deadline: canonical_f64_bits(job.deadline()),
-            price: canonical_f64_bits(job.price()),
+            tasks,
+            t_min: canonical_f64_bits(t_min),
+            beta: canonical_f64_bits(beta),
+            deadline: canonical_f64_bits(deadline),
+            price: canonical_f64_bits(price),
         }
     }
 
@@ -178,6 +193,10 @@ mod tests {
             JobProfileKey::of(&job(100.0)),
             JobProfileKey::of(&job(100.0))
         );
+        assert_eq!(
+            JobProfileKey::from_parts(10, 20.0, 1.5, 100.0, 1.0),
+            JobProfileKey::of(&job(100.0))
+        );
     }
 
     #[test]
@@ -199,6 +218,12 @@ mod tests {
             .unwrap();
         assert_ne!(key(&base, &params), key(&nudged_t_min, &params));
         assert_ne!(JobProfileKey::of(&base), JobProfileKey::of(&nudged_t_min));
+
+        let nudged_price = f64::from_bits(1.0f64.to_bits() + 1);
+        assert_ne!(
+            JobProfileKey::from_parts(10, 20.0, 1.5, 100.0, 1.0),
+            JobProfileKey::from_parts(10, 20.0, 1.5, 100.0, nudged_price)
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   ([`canonical_f64_bits`]), so equal inputs always collide and inputs one
 //!   ULP apart never do;
 //! * [`PlanCache`] — a lock-striped concurrent cache with single-flight
-//!   solves and hit/miss/eviction counters ([`CacheStats`]);
+//!   solves and hit/miss counters ([`CacheStats`]);
 //! * [`Planner`] — `plan` (memoized, bit-identical to an uncached
 //!   `Optimizer::optimize`) and [`Planner::plan_batch`] (deduplicate a
 //!   request slice, solve each distinct profile once across a scoped worker

@@ -252,8 +252,8 @@ impl Planner {
         }
 
         // Solve pass: each distinct profile exactly once, results parked in
-        // per-slot once-cells so the scatter below cannot be disturbed by a
-        // concurrent eviction from a capacity-bounded shared cache.
+        // per-slot once-cells that the workers fill in any order and the
+        // scatter below reads in input order.
         let results: Vec<OnceLock<PlanResult>> =
             (0..distinct.len()).map(|_| OnceLock::new()).collect();
         let solve_into = |slot: usize| {

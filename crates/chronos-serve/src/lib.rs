@@ -37,12 +37,11 @@
 //! * **Planning.** Each worker runs the policy front-end from
 //!   `chronos-strategies` over the shared single-flight `PlanCache`
 //!   (every distinct job profile is solved once per server, whichever
-//!   worker gets there first), with a small worker-local memo layered on
-//!   top so hot profiles skip even the stripe lock. Decisions pick the
-//!   utility-maximizing strategy across all three Chronos strategies,
-//!   with deterministic tie-breaking — the decision for a job is a pure
-//!   function of the job and the policy config, independent of worker
-//!   count or scheduling. [`decisions_digest`] hashes that invariant.
+//!   worker gets there first). Decisions pick the utility-maximizing
+//!   strategy across all three Chronos strategies, with deterministic
+//!   tie-breaking — the decision for a job is a pure function of the job
+//!   and the policy config, independent of worker count or scheduling.
+//!   [`decisions_digest`] hashes that invariant.
 //! * **Budgeting.** The server can run under a cluster-wide
 //!   [`SpeculationBudget`](chronos_plan::SpeculationBudget)
 //!   ([`ServeConfig::with_budget`]): every feasible decision atomically

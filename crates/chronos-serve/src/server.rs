@@ -4,13 +4,12 @@
 use crate::queue::{BoundedQueue, PushError};
 use chronos_core::prelude::*;
 use chronos_obs::{DecisionTrace, MetricsRegistry, TraceEvent};
-use chronos_plan::{CacheStats, PlanCache, PlanResult, Planner, ProfileKey, SpeculationBudget};
+use chronos_plan::{CacheStats, PlanCache, PlanResult, Planner, SpeculationBudget};
 use chronos_sim::prelude::{JobId, JobSpec, JobSubmitView, LatencyHistogram};
 use chronos_strategies::prelude::{
     ChronosPolicyConfig, PolicyBuilder, PolicyPlanner, StrategyTiming,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -161,11 +160,6 @@ pub struct ServeConfig {
     pub policy: ChronosPolicyConfig,
     /// Latency measurement mode.
     pub probe: LatencyProbe,
-    /// Capacity of each worker's local plan memo (layered over the shared
-    /// cache so hot profiles skip the stripe lock entirely). The memo is
-    /// cleared wholesale when full — it is a throughput lever, not a
-    /// correctness one.
-    pub local_memo_capacity: usize,
     /// The cluster-wide speculation budget: how many extra copies the
     /// server may grant in total across its lifetime. Under
     /// [`SpeculationBudget::Limited`] every feasible decision debits its
@@ -187,8 +181,8 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A configuration with the trace-replay policy defaults (testbed
-    /// objective, trace-scaled `τ_est`/`τ_kill`), wall-clock latencies and
-    /// a reasonable local memo.
+    /// objective, trace-scaled `τ_est`/`τ_kill`), wall-clock latencies, no
+    /// budget and no decision trace.
     #[must_use]
     pub fn new(workers: u32, queue_capacity: usize) -> Self {
         ServeConfig {
@@ -196,7 +190,6 @@ impl ServeConfig {
             queue_capacity,
             policy: ChronosPolicyConfig::testbed().with_timing(StrategyTiming::trace_default()),
             probe: LatencyProbe::WallMicros,
-            local_memo_capacity: 1_024,
             budget: SpeculationBudget::Unlimited,
             decision_trace: None,
         }
@@ -370,14 +363,11 @@ struct ServerShared {
 }
 
 /// The worker-side admission planner: builds the per-strategy plan
-/// requests, memoizes results in a small worker-local map layered over the
-/// shared single-flight [`PlanCache`], and picks the utility-maximizing
-/// strategy deterministically.
+/// requests, solves them over the shared single-flight [`PlanCache`], and
+/// picks the utility-maximizing strategy deterministically.
 struct AdmissionPlanner {
     requests: PolicyPlanner,
     planner: Planner,
-    memo: HashMap<ProfileKey, PlanResult>,
-    memo_capacity: usize,
 }
 
 impl AdmissionPlanner {
@@ -389,33 +379,19 @@ impl AdmissionPlanner {
             .cached(cache)
             .admission_parts()
             .map_err(|err| ServeError::InvalidConfig(err.to_string()))?;
-        Ok(AdmissionPlanner {
-            requests,
-            planner,
-            memo: HashMap::new(),
-            memo_capacity: config.local_memo_capacity.max(1),
-        })
+        Ok(AdmissionPlanner { requests, planner })
     }
 
-    fn plan(&mut self, view: &JobSubmitView, kind: StrategyKind) -> Option<PlanResult> {
+    fn plan(&self, view: &JobSubmitView, kind: StrategyKind) -> Option<PlanResult> {
         let request = self.requests.request_for(view, kind).ok()?;
-        let key = self.planner.key_of(&request);
-        if let Some(result) = self.memo.get(&key) {
-            return Some(result.clone());
-        }
-        let result = self.planner.plan_request(&request);
-        if self.memo.len() >= self.memo_capacity {
-            self.memo.clear();
-        }
-        self.memo.insert(key, result.clone());
-        Some(result)
+        Some(self.planner.plan_request(&request))
     }
 
     /// Decides one job: every strategy in [`StrategyKind::ALL`] is planned
     /// and the highest-utility feasible one wins (strictly-greater
     /// comparison, so ties resolve to the earliest kind — deterministic
     /// regardless of which worker decides).
-    fn decide(&mut self, job: &JobSpec) -> AdmissionDecision {
+    fn decide(&self, job: &JobSpec) -> AdmissionDecision {
         let view = JobSubmitView {
             job: job.id,
             task_count: job.task_count() as u32,
@@ -704,7 +680,7 @@ fn collect_stats(shared: &ServerShared) -> ServerStats {
 }
 
 fn worker_loop(shared: &ServerShared, index: usize, config: &ServeConfig) {
-    let mut planner = AdmissionPlanner::new(config, Arc::clone(&shared.cache))
+    let planner = AdmissionPlanner::new(config, Arc::clone(&shared.cache))
         .expect("config was validated at startup");
     loop {
         let items = shared.queue.pop_many(POP_BATCH);
@@ -902,8 +878,8 @@ mod tests {
         assert_eq!(stats.rejected, 0);
         assert_eq!(stats.latency.total(), 8);
         // Three strategies planned for one distinct profile: three solves,
-        // everything else came from a cache or memo layer.
-        assert!(stats.cache.misses <= 3);
+        // and the other 21 lookups hit the shared cache.
+        assert_eq!((stats.cache.misses, stats.cache.hits), (3, 21));
     }
 
     #[test]

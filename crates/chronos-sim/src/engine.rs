@@ -45,9 +45,9 @@
 //!
 //! Policies that declare [`SpeculationPolicy::submit_is_profile_pure`] get
 //! their submit-time planning deduplicated *inside the engine*: jobs
-//! sharing a profile (task count, deadline, price, distribution — the
-//! chronos-plan `ProfileKey` idea applied at simulation time) are planned
-//! once, and later arrivals replay the memoized decision through
+//! sharing a profile (task count, deadline, price, distribution — keyed
+//! by chronos-plan's [`JobProfileKey`]) are planned once, and later
+//! arrivals replay the memoized decision through
 //! [`SpeculationPolicy::on_job_submit_replayed`].
 
 use crate::attempt::{Attempt, AttemptState};
@@ -65,31 +65,21 @@ use crate::policy::{
 use crate::progress::{estimate_completion, estimate_resume_offset};
 use crate::time::{SimDuration, SimTime};
 use chronos_obs::{DecisionTrace, TraceEvent};
+use chronos_plan::JobProfileKey;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
 
-/// The submit-relevant fields of a [`JobSubmitView`] — everything except
-/// the job id — with floats keyed by bit pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ProfileKey {
-    task_count: u32,
-    deadline_bits: u64,
-    price_bits: u64,
-    t_min_bits: u64,
-    beta_bits: u64,
-}
-
-impl ProfileKey {
-    fn of(view: &JobSubmitView) -> Self {
-        ProfileKey {
-            task_count: view.task_count,
-            deadline_bits: view.deadline_secs.to_bits(),
-            price_bits: view.price.to_bits(),
-            t_min_bits: view.profile.t_min().to_bits(),
-            beta_bits: view.profile.beta().to_bits(),
-        }
-    }
+/// The memo key of a submit: the job-class identity of a
+/// [`JobSubmitView`] (every field except the job id).
+fn profile_key(view: &JobSubmitView) -> JobProfileKey {
+    JobProfileKey::from_parts(
+        view.task_count,
+        view.profile.t_min(),
+        view.profile.beta(),
+        view.deadline_secs,
+        view.price,
+    )
 }
 
 /// A memoized [`CheckSchedule`], with `AtOffsets` interned into the shared
@@ -162,7 +152,7 @@ pub struct Simulation {
     /// Submit memoization (see the module docs); enabled iff the policy
     /// declared itself profile-pure at construction.
     memo_enabled: bool,
-    memo: HashMap<ProfileKey, (SubmitDecision, ScheduleKind), FastIdHash>,
+    memo: HashMap<JobProfileKey, (SubmitDecision, ScheduleKind), FastIdHash>,
     memo_offsets: Vec<f64>,
     /// Per-job submit overrides from the policy's [`BatchPlan`]s, consumed
     /// at arrival. Overridden jobs bypass the profile memo: an override is
@@ -472,7 +462,7 @@ impl Simulation {
                 let schedule = self.intern_schedule(self.policy.check_schedule(&submit_view));
                 (decision, schedule)
             } else if self.memo_enabled {
-                let key = ProfileKey::of(&submit_view);
+                let key = profile_key(&submit_view);
                 if let Some(&(decision, schedule)) = self.memo.get(&key) {
                     self.policy.on_job_submit_replayed(&submit_view, decision);
                     (decision, schedule)

@@ -272,44 +272,6 @@ impl ShardedRunner {
         Ok((report, trace.unwrap_or_default()))
     }
 
-    /// The observed variant of [`ShardedRunner::run_chunked_fallible`];
-    /// see [`ShardedRunner::run_chunked_observed`] for the trace contract.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedRunner::run_chunked_fallible`].
-    pub fn run_chunked_fallible_observed<I, E, F>(
-        &self,
-        chunks: I,
-        build_policy: F,
-        trace_capacity: Option<usize>,
-    ) -> Result<(SimulationReport, DecisionTrace), ReplayError<E>>
-    where
-        I: IntoIterator<Item = Result<Vec<JobSpec>, E>>,
-        I::IntoIter: Send,
-        E: Send,
-        F: Fn(u64) -> Box<dyn SpeculationPolicy> + Sync,
-    {
-        let source_error: Mutex<Option<E>> = Mutex::new(None);
-        let adapter = FallibleChunks {
-            inner: chunks.into_iter(),
-            slot: &source_error,
-            done: false,
-        };
-        let workers = self.config.sharding.requested_workers() as usize;
-        let outcome =
-            self.run_chunks_observed_with(workers, adapter, &build_policy, Some(trace_capacity));
-        if let Some(err) = source_error
-            .into_inner()
-            .expect("source error lock poisoned")
-        {
-            return Err(ReplayError::Source(err));
-        }
-        outcome
-            .map(|(report, trace)| (report, trace.unwrap_or_default()))
-            .map_err(ReplayError::Sim)
-    }
-
     /// The observed variant of
     /// [`ShardedRunner::run_chunked_fallible_planned`]: shared plan cache,
     /// cache-stats delta *and* merged decision trace, with an aggregate
@@ -335,11 +297,12 @@ impl ShardedRunner {
         F: Fn(u64, Arc<PlanCache>) -> Box<dyn SpeculationPolicy> + Sync,
     {
         let before = cache.stats();
-        let (report, mut trace) = self.run_chunked_fallible_observed(
+        let (report, trace) = self.run_fallible_with(
             chunks,
-            |shard| build_policy(shard, Arc::clone(cache)),
-            trace_capacity,
+            &|shard| build_policy(shard, Arc::clone(cache)),
+            Some(trace_capacity),
         )?;
+        let mut trace = trace.unwrap_or_default();
         let stats = cache.stats().since(&before);
         trace.record(
             report.ended_at.as_micros(),
@@ -406,6 +369,26 @@ impl ShardedRunner {
         E: Send,
         F: Fn(u64) -> Box<dyn SpeculationPolicy> + Sync,
     {
+        self.run_fallible_with(chunks, &build_policy, None)
+            .map(|(report, _)| report)
+    }
+
+    /// Shared core of the fallible entry points: adapts the fallible
+    /// source for [`ShardedRunner::run_chunks_observed_with`] (whose
+    /// `trace` argument it forwards) and gives a source error precedence
+    /// over any simulation error.
+    fn run_fallible_with<I, E, F>(
+        &self,
+        chunks: I,
+        build_policy: &F,
+        trace: Option<Option<usize>>,
+    ) -> Result<(SimulationReport, Option<DecisionTrace>), ReplayError<E>>
+    where
+        I: IntoIterator<Item = Result<Vec<JobSpec>, E>>,
+        I::IntoIter: Send,
+        E: Send,
+        F: Fn(u64) -> Box<dyn SpeculationPolicy> + Sync,
+    {
         let source_error: Mutex<Option<E>> = Mutex::new(None);
         let adapter = FallibleChunks {
             inner: chunks.into_iter(),
@@ -413,7 +396,7 @@ impl ShardedRunner {
             done: false,
         };
         let workers = self.config.sharding.requested_workers() as usize;
-        let outcome = self.run_chunks_with(workers, adapter, &build_policy);
+        let outcome = self.run_chunks_observed_with(workers, adapter, build_policy, trace);
         if let Some(err) = source_error
             .into_inner()
             .expect("source error lock poisoned")

@@ -77,13 +77,12 @@ fn budgeted_strategy(kind: PolicyKind) -> Option<StrategyKind> {
     }
 }
 
-/// The one construction path for every policy this crate builds:
-/// [`PolicyKind::build`], [`PolicyKind::build_with_cache`], the experiment
-/// binaries and the admission server all funnel through it. Options
-/// compose: a shared [`PlanCache`] memoizes plans across policies and
-/// shards, a [`SpeculationBudget`] wraps the optimizing strategies in a
-/// [`BudgetedPolicy`], and an [`AllocationLedger`] collects every
-/// allocation round for worker-count-invariant auditing.
+/// The one construction path for every policy this crate builds: the
+/// experiment binaries, `trace_tool` and the admission server all funnel
+/// through it. Options compose: a shared [`PlanCache`] memoizes plans
+/// across policies and shards, a [`SpeculationBudget`] wraps the optimizing
+/// strategies in a [`BudgetedPolicy`], and an [`AllocationLedger`] collects
+/// every allocation round for worker-count-invariant auditing.
 ///
 /// # Examples
 ///
@@ -106,8 +105,8 @@ pub struct PolicyBuilder {
 }
 
 impl PolicyBuilder {
-    /// A builder with no cache, an unlimited budget and no ledger — the
-    /// historical [`PolicyKind::build`] behaviour.
+    /// A builder with no cache, an unlimited budget and no ledger: every
+    /// Chronos strategy gets a private plan cache.
     #[must_use]
     pub fn new(config: ChronosPolicyConfig) -> Self {
         PolicyBuilder {
@@ -444,6 +443,14 @@ mod tests {
         sim.run().unwrap()
     }
 
+    /// The testbed-configured `kind` built under `budget`.
+    fn build(kind: PolicyKind, budget: SpeculationBudget) -> Box<dyn SpeculationPolicy> {
+        PolicyBuilder::new(ChronosPolicyConfig::testbed())
+            .budgeted(budget)
+            .build(kind)
+            .unwrap()
+    }
+
     #[test]
     fn baselines_cannot_be_budgeted() {
         let builder = PolicyBuilder::new(ChronosPolicyConfig::testbed())
@@ -480,10 +487,7 @@ mod tests {
 
     #[test]
     fn budgeted_policy_keeps_the_inner_name() {
-        let policy = PolicyBuilder::new(ChronosPolicyConfig::testbed())
-            .budgeted(SpeculationBudget::Limited(2))
-            .build(PolicyKind::Clone)
-            .unwrap();
+        let policy = build(PolicyKind::Clone, SpeculationBudget::Limited(2));
         assert_eq!(policy.name(), "clone");
     }
 
@@ -506,13 +510,7 @@ mod tests {
             PolicyKind::SpeculativeRestart,
             PolicyKind::SpeculativeResume,
         ] {
-            let muted = run(
-                PolicyBuilder::new(ChronosPolicyConfig::testbed())
-                    .budgeted(SpeculationBudget::Limited(0))
-                    .build(kind)
-                    .unwrap(),
-                3,
-            );
+            let muted = run(build(kind, SpeculationBudget::Limited(0)), 3);
             assert_eq!(muted.pocd(), baseline.pocd(), "{kind:?}");
             assert_eq!(
                 muted.total_attempts(),
@@ -534,14 +532,8 @@ mod tests {
             PolicyKind::SpeculativeRestart,
             PolicyKind::SpeculativeResume,
         ] {
-            let unwrapped = run(kind.build(ChronosPolicyConfig::testbed()), 7);
-            let budgeted = run(
-                PolicyBuilder::new(ChronosPolicyConfig::testbed())
-                    .budgeted(SpeculationBudget::Limited(u64::MAX))
-                    .build(kind)
-                    .unwrap(),
-                7,
-            );
+            let unwrapped = run(build(kind, SpeculationBudget::Unlimited), 7);
+            let budgeted = run(build(kind, SpeculationBudget::Limited(u64::MAX)), 7);
             assert_eq!(budgeted, unwrapped, "{kind:?}");
         }
     }
@@ -551,21 +543,10 @@ mod tests {
         // Not a theorem, but on this workload the attempt count must not
         // increase as the budget shrinks, and a tight budget must land
         // strictly between unlimited and zero.
-        let unlimited = run(PolicyKind::Clone.build(ChronosPolicyConfig::testbed()), 11);
-        let tight = run(
-            PolicyBuilder::new(ChronosPolicyConfig::testbed())
-                .budgeted(SpeculationBudget::Limited(3))
-                .build(PolicyKind::Clone)
-                .unwrap(),
-            11,
-        );
-        let zero = run(
-            PolicyBuilder::new(ChronosPolicyConfig::testbed())
-                .budgeted(SpeculationBudget::Limited(0))
-                .build(PolicyKind::Clone)
-                .unwrap(),
-            11,
-        );
+        let clone = |budget| run(build(PolicyKind::Clone, budget), 11);
+        let unlimited = clone(SpeculationBudget::Unlimited);
+        let tight = clone(SpeculationBudget::Limited(3));
+        let zero = clone(SpeculationBudget::Limited(0));
         assert!(tight.total_attempts() <= unlimited.total_attempts());
         assert!(zero.total_attempts() <= tight.total_attempts());
         assert!(zero.total_attempts() < unlimited.total_attempts());

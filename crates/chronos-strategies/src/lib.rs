@@ -52,9 +52,6 @@ pub use restart::RestartPolicy;
 pub use resume::ResumePolicy;
 pub use timing::{StrategyTiming, Timing};
 
-use chronos_sim::prelude::{PlanCache, SpeculationPolicy};
-use std::sync::Arc;
-
 /// Identifier of every policy this crate can build, used by the experiment
 /// harness to iterate over strategy line-ups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -103,34 +100,6 @@ impl PolicyKind {
     #[must_use]
     pub fn from_label(label: &str) -> Option<PolicyKind> {
         label.parse().ok()
-    }
-
-    /// Instantiates the policy. Chronos strategies use `config`; baselines
-    /// ignore it. Shorthand for an option-free [`PolicyBuilder`].
-    #[must_use]
-    pub fn build(&self, config: ChronosPolicyConfig) -> Box<dyn SpeculationPolicy> {
-        PolicyBuilder::new(config)
-            .build(*self)
-            .expect("unbudgeted builds are infallible")
-    }
-
-    /// Instantiates the policy over a shared plan cache: the Chronos
-    /// strategies memoize their optimizations into (and out of) `cache`,
-    /// so one cache handed to a whole line-up — or to every shard of a
-    /// sharded replay — solves each distinct `(profile, strategy,
-    /// objective)` combination exactly once. Baselines ignore both
-    /// arguments; handing them a cache is harmless. Shorthand for
-    /// [`PolicyBuilder::cached`].
-    #[must_use]
-    pub fn build_with_cache(
-        &self,
-        config: ChronosPolicyConfig,
-        cache: &Arc<PlanCache>,
-    ) -> Box<dyn SpeculationPolicy> {
-        PolicyBuilder::new(config)
-            .cached(Arc::clone(cache))
-            .build(*self)
-            .expect("unbudgeted builds are infallible")
     }
 }
 
@@ -203,9 +172,9 @@ mod tests {
 
     #[test]
     fn build_produces_matching_names() {
-        let config = ChronosPolicyConfig::testbed();
+        let builder = PolicyBuilder::new(ChronosPolicyConfig::testbed());
         for kind in PolicyKind::ALL {
-            let policy = kind.build(config);
+            let policy = builder.build(kind).unwrap();
             assert_eq!(policy.name(), kind.label(), "{kind:?}");
         }
     }

@@ -236,10 +236,10 @@ fn all_six_strategies_run_and_report_feasible_outcomes() {
         .unwrap();
     let task_count: usize = jobs.iter().map(|job| job.tasks.len()).sum();
     let config = testbed_config(6);
-    let chronos_config = ChronosPolicyConfig::testbed();
+    let builder = PolicyBuilder::new(ChronosPolicyConfig::testbed());
 
     for kind in PolicyKind::ALL {
-        let report = run(kind.build(chronos_config), jobs.clone(), &config);
+        let report = run(builder.build(kind).unwrap(), jobs.clone(), &config);
         assert_eq!(report.policy, kind.label(), "policy label mismatch");
         assert_eq!(report.job_count(), 12, "{} lost jobs", kind.label());
         assert!(
