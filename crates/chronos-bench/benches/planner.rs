@@ -1,7 +1,8 @@
 //! Criterion benches for the `chronos-plan` subsystem: what memoized,
 //! deduplicated batch planning saves over per-job `Optimizer::optimize`
 //! calls on a repeated-profile workload — the serving-path pattern where
-//! thousands of submissions share a handful of job classes.
+//! thousands of submissions share a handful of job classes — and what one
+//! cold S-Restart solve costs.
 //!
 //! Setting `CHRONOS_BENCH_SMOKE=1` shrinks the batch and takes a single
 //! sample — the CI `bench-smoke` job uses this to catch panics and API rot
@@ -122,12 +123,48 @@ fn bench_single_plan_lookup(c: &mut Criterion) {
     group.finish();
 }
 
+/// One uncached S-Restart solve: Algorithm 1 with its Theorem 4
+/// quadratures, no plan cache. Two profiles: a Google-shaped one
+/// (β = 1.5) and job 102 of the converted Google 2011 golden (β = 6),
+/// whose large β·r exercises the overflow-safe form of the closed-form
+/// segment.
+fn bench_cold_restart_solve(c: &mut Criterion) {
+    let objective = UtilityModel::default();
+    let profiles = [
+        ("google-beta-1.5", 10, 1.5, 20.0, 100.0, 40.0, 80.0),
+        ("golden-job-102-beta-6", 2, 6.0, 25.0, 60.0, 7.5, 15.0),
+    ];
+    let mut group = c.benchmark_group("planner-cold-s-restart");
+    if smoke() {
+        group.sample_size(1);
+        group.measurement_time(Duration::from_millis(1));
+    }
+    for (name, tasks, beta, t_min, deadline, tau_est, tau_kill) in profiles {
+        let job = JobProfile::builder()
+            .tasks(tasks)
+            .t_min(t_min)
+            .beta(beta)
+            .deadline(deadline)
+            .build()
+            .expect("valid job profile");
+        let request = PlanRequest::new(
+            job,
+            StrategyParams::restart(tau_est, tau_kill).expect("ordered"),
+        );
+        let planner = Planner::new(objective);
+        group.bench_function(name, |b| {
+            b.iter(|| planner.solve_uncached(&request).expect("feasible"))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default()
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(20);
-    targets = bench_plan_batch_vs_uncached, bench_single_plan_lookup
+    targets = bench_plan_batch_vs_uncached, bench_single_plan_lookup, bench_cold_restart_solve
 );
 criterion_main!(benches);

@@ -223,7 +223,14 @@ fn integral_power_segment(a: f64, b: f64, p: f64) -> Result<f64, ChronosError> {
         return Ok(a * (b / a).ln());
     }
     // ∫_a^b a^p ω^(-p) dω = a^p (b^(1-p) − a^(1-p)) / (1 − p)
-    Ok(a.powf(p) * (b.powf(1.0 - p) - a.powf(1.0 - p)) / (1.0 - p))
+    let direct = a.powf(p) * (b.powf(1.0 - p) - a.powf(1.0 - p)) / (1.0 - p);
+    if direct.is_finite() {
+        return Ok(direct);
+    }
+    // For large p (large β·r) a^p overflows and the direct form becomes
+    // inf·0 = NaN; the algebraically equal a·(1 − (a/b)^(p−1))/(p − 1)
+    // stays in range because a/b ≤ 1.
+    Ok(a * (1.0 - (a / b).powf(p - 1.0)) / (p - 1.0))
 }
 
 /// Expected machine time of a single task under Clone evaluated by Monte
@@ -517,6 +524,14 @@ mod tests {
         let v = integral_power_segment(2.0, 8.0, 1.0).unwrap();
         assert!(approx_eq(v, 2.0 * (4.0f64).ln(), 1e-12, 1e-12));
         assert!(integral_power_segment(5.0, 4.0, 1.0).is_err());
+    }
+
+    #[test]
+    fn power_segment_survives_overflowing_exponent() {
+        // a^p overflows for p = 6·64: the direct form would be inf·0.
+        let v = integral_power_segment(25.0, 52.5, 6.0 * 64.0).unwrap();
+        assert!(approx_eq(v, 25.0 / (6.0 * 64.0 - 1.0), 1e-12, 1e-12), "{v}");
+        assert_eq!(integral_power_segment(25.0, 25.0, 400.0).unwrap(), 0.0);
     }
 
     #[test]

@@ -2,26 +2,40 @@
 //! attempts `r` maximizing net utility.
 //!
 //! Theorem 8 guarantees the objective is concave in `r` above the threshold
-//! `Γ_strategy`, so the optimizer runs a continuous line search on the tail
-//! `r ≥ ⌈Γ⌉` and an exhaustive scan over the (few) integers below the
-//! threshold, then returns the better of the two — which Theorem 9 shows is
-//! the global optimum.
+//! `Γ_strategy`. The optimizer scans the (few) integers of the non-concave
+//! head `0..=⌈Γ⌉` exhaustively and finds the integer argmax of the concave
+//! tail exactly, without a continuous relaxation:
+//!
+//! 1. the tail starts at the first `r ≥ ⌈Γ⌉` with `R(r) > R_min`, found by
+//!    binary search on the monotone PoCD (no quadrature);
+//! 2. doubling steps from there bracket the argmax at the first step where
+//!    `U` stops rising;
+//! 3. bisection on the sign of `U(m+1) − U(m)` pins it inside the bracket.
+//!
+//! The better of the head and tail optima is the global optimum (Theorem 9),
+//! ties going to the smaller `r` exactly as in
+//! [`Optimizer::optimize_exhaustive`]. Every `U(r)` goes through one
+//! [`MachineTimeMemo`], so a solve integrates Theorem 4 at about
+//! `⌈Γ⌉ + 2·log2(r*)` distinct points, each once.
 
 use crate::error::ChronosError;
 use crate::job::JobProfile;
-use crate::numeric::{central_difference, golden_section_max};
+use crate::numeric::central_difference;
 use crate::strategy::{StrategyKind, StrategyParams};
-use crate::utility::{NetUtility, UtilityModel};
+use crate::utility::{MachineTimeMemo, NetUtility, UtilityModel};
 use serde::{Deserialize, Serialize};
 
-/// Which continuous search backend drives the concave-tail phase.
+/// Which search backend drives the concave-tail phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SearchMethod {
-    /// Golden-section search over the bracketed concave region (robust
-    /// default; does not require derivative estimates).
-    GoldenSection,
-    /// Gradient ascent with backtracking line search, following Algorithm 1
-    /// as printed in the paper (η/α/ξ parameters of [`OptimizerConfig`]).
+    /// Exact integer search: bracket the tail's argmax by doubling, then
+    /// bisect on the sign of `U(m+1) − U(m)` (the default; needs no
+    /// derivative estimates and returns the same `r` as exhaustive search).
+    ConcaveTailBisection,
+    /// Gradient ascent with backtracking line search on the continuous
+    /// relaxation, following Algorithm 1 as printed in the paper (η/α/ξ
+    /// parameters of [`OptimizerConfig`]); the integer neighbours of its
+    /// peak are the tail candidates.
     GradientAscent,
 }
 
@@ -31,7 +45,7 @@ pub enum SearchMethod {
 /// Algorithm 1 and only affect the [`SearchMethod::GradientAscent`] backend.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OptimizerConfig {
-    /// Continuous search backend for the concave tail.
+    /// Search backend for the concave tail.
     pub method: SearchMethod,
     /// Gradient-norm stopping threshold η of Algorithm 1.
     pub eta: f64,
@@ -46,7 +60,7 @@ pub struct OptimizerConfig {
 impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
-            method: SearchMethod::GoldenSection,
+            method: SearchMethod::ConcaveTailBisection,
             eta: 1e-6,
             alpha: 0.3,
             xi: 0.5,
@@ -176,36 +190,41 @@ impl Optimizer {
         params: &StrategyParams,
     ) -> Result<OptimizationOutcome, ChronosError> {
         let net = self.objective.for_job(job, params)?;
-        self.optimize_net(&net)
+        self.optimize_memo(&mut MachineTimeMemo::new(&net))
     }
 
-    /// Runs Algorithm 1 on an already-bound [`NetUtility`] objective.
+    /// Runs Algorithm 1 on the objective a [`MachineTimeMemo`] is bound to,
+    /// through that memo, so the caller can read `E[T(r)]` at any `r` the
+    /// search visited (`r = 0` always is, when `R(0) > R_min`) without
+    /// integrating again.
     ///
     /// # Errors
     ///
     /// Same as [`optimize`](Self::optimize).
-    pub fn optimize_net(&self, net: &NetUtility) -> Result<OptimizationOutcome, ChronosError> {
+    pub fn optimize_memo(
+        &self,
+        memo: &mut MachineTimeMemo<'_>,
+    ) -> Result<OptimizationOutcome, ChronosError> {
+        let net = memo.net();
         let r_max = self.config.r_max;
-        let gamma = net.pocd_model().concave_from();
 
         let mut best: Option<(u32, f64)> = None;
-        let consider = |r: u32, utility: f64, best: &mut Option<(u32, f64)>| {
+        let mut consider = |r: u32, utility: f64| {
             if utility.is_finite() {
                 match best {
-                    Some((_, u)) if *u >= utility => {}
-                    _ => *best = Some((r, utility)),
+                    Some((_, u)) if u >= utility => {}
+                    _ => best = Some((r, utility)),
                 }
             }
         };
 
-        match gamma {
+        match net.pocd_model().concave_from() {
             None => {
                 // Speculation cannot reduce the failure probability; the
                 // utility is non-increasing in r, so scanning a handful of
                 // small values suffices.
                 for r in 0..=r_max.min(4) {
-                    let u = net.utility(r)?;
-                    consider(r, u, &mut best);
+                    consider(r, memo.utility(r)?);
                 }
             }
             Some(gamma_ceil) => {
@@ -214,22 +233,25 @@ impl Optimizer {
                 // exhaustively evaluate the non-concave head r < ⌈Γ⌉, plus
                 // ⌈Γ⌉ itself.
                 for r in 0..=gamma_ceil {
-                    let u = net.utility(r)?;
-                    consider(r, u, &mut best);
+                    consider(r, memo.utility(r)?);
                 }
-                // Phase 1: continuous search on the concave tail.
-                let lo = f64::from(gamma_ceil);
-                let hi = f64::from(self.bracket_upper_bound(net, gamma_ceil)?);
-                let peak = match self.config.method {
-                    SearchMethod::GoldenSection => self.golden_peak(net, lo, hi)?,
-                    SearchMethod::GradientAscent => self.gradient_peak(net, lo, hi)?,
-                };
-                // The integer optimum on a concave function is at ⌊x*⌋ or ⌈x*⌉.
-                for candidate in [peak.floor(), peak.ceil()] {
-                    if candidate >= 0.0 && candidate <= f64::from(r_max) {
-                        let r = candidate as u32;
-                        let u = net.utility(r)?;
-                        consider(r, u, &mut best);
+                // Phase 1: the concave tail, from its first finite point.
+                if let Some(start) = first_meeting_floor(net, gamma_ceil, r_max) {
+                    let (lo, hi) = bracket_tail_peak(memo, start, r_max)?;
+                    match self.config.method {
+                        SearchMethod::ConcaveTailBisection => {
+                            let r = bisect_tail_peak(memo, lo, hi)?;
+                            consider(r, memo.utility(r)?);
+                        }
+                        SearchMethod::GradientAscent => {
+                            let peak = self.gradient_peak(net, f64::from(start), f64::from(hi));
+                            // The integer optimum of a concave function is
+                            // at ⌊x*⌋ or ⌈x*⌉.
+                            for candidate in [peak.floor(), peak.ceil()] {
+                                let r = candidate as u32;
+                                consider(r, memo.utility(r)?);
+                            }
+                        }
                     }
                 }
             }
@@ -246,8 +268,8 @@ impl Optimizer {
             r,
             utility,
             pocd: net.pocd(r)?,
-            machine_time: net.machine_time(r)?,
-            dollar_cost: net.dollar_cost(r)?,
+            machine_time: memo.machine_time(r)?,
+            dollar_cost: memo.dollar_cost(r)?,
         })
     }
 
@@ -322,41 +344,9 @@ impl Optimizer {
         })
     }
 
-    /// Finds an upper bracket for the concave-tail search by doubling the
-    /// step until the utility drops below its value at the bracket start
-    /// (concavity then guarantees the maximum lies inside).
-    fn bracket_upper_bound(&self, net: &NetUtility, start: u32) -> Result<u32, ChronosError> {
-        let r_max = self.config.r_max;
-        let u_start = net.utility(start)?;
-        let mut step = 1u32;
-        let mut current = start;
-        while current < r_max {
-            let next = current.saturating_add(step).min(r_max);
-            let u_next = net.utility(next)?;
-            if u_next < u_start || next == r_max {
-                return Ok(next);
-            }
-            current = next;
-            step = step.saturating_mul(2);
-        }
-        Ok(r_max)
-    }
-
-    fn golden_peak(&self, net: &NetUtility, lo: f64, hi: f64) -> Result<f64, ChronosError> {
-        if hi <= lo {
-            return Ok(lo);
-        }
-        golden_section_max(
-            |r| net.utility_continuous(r).unwrap_or(f64::NEG_INFINITY),
-            lo,
-            hi,
-            1e-4,
-        )
-    }
-
     /// Gradient ascent with backtracking, transcribing the loop of
     /// Algorithm 1 onto the continuous relaxation.
-    fn gradient_peak(&self, net: &NetUtility, lo: f64, hi: f64) -> Result<f64, ChronosError> {
+    fn gradient_peak(&self, net: &NetUtility, lo: f64, hi: f64) -> f64 {
         let f = |r: f64| net.utility_continuous(r).unwrap_or(f64::NEG_INFINITY);
         let mut r = lo.max(0.0);
         let h = 1e-4;
@@ -384,8 +374,71 @@ impl Optimizer {
                 break;
             }
         }
-        Ok(r.clamp(lo, hi))
+        r.clamp(lo, hi)
     }
+}
+
+/// The first `r` in `[from, r_max]` with `R(r) > R_min`, or `None`. The
+/// PoCD is non-decreasing in `r`, so a binary search finds it without a
+/// single quadrature.
+fn first_meeting_floor(net: &NetUtility, from: u32, r_max: u32) -> Option<u32> {
+    if !net.meets_floor(r_max) {
+        return None;
+    }
+    let (mut lo, mut hi) = (from, r_max);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if net.meets_floor(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    Some(lo)
+}
+
+/// Brackets the smallest argmax of the concave tail `U` on
+/// `[start, r_max]`: steps of 1, 2, 4, … from `start` until `U` stops
+/// rising. If the step `current → next` is the first that does not rise,
+/// the argmax lies in `[prev, next]`, `prev` being the point before
+/// `current`; concavity rules out everything outside.
+fn bracket_tail_peak(
+    memo: &mut MachineTimeMemo<'_>,
+    start: u32,
+    r_max: u32,
+) -> Result<(u32, u32), ChronosError> {
+    let (mut prev, mut current) = (start, start);
+    let mut u_current = memo.utility(start)?;
+    let mut step = 1u32;
+    while current < r_max {
+        let next = current.saturating_add(step).min(r_max);
+        let u_next = memo.utility(next)?;
+        if u_next <= u_current {
+            return Ok((prev, next));
+        }
+        (prev, current, u_current) = (current, next, u_next);
+        step = step.saturating_mul(2);
+    }
+    Ok((prev, r_max))
+}
+
+/// The smallest `m` in `[lo, hi]` with `U(m+1) ≤ U(m)`, or `hi`: on a
+/// concave sequence that is its smallest argmax over `[lo, hi]`, and the
+/// predicate is monotone, so bisection finds it.
+fn bisect_tail_peak(
+    memo: &mut MachineTimeMemo<'_>,
+    mut lo: u32,
+    mut hi: u32,
+) -> Result<u32, ChronosError> {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if memo.utility(mid + 1)? <= memo.utility(mid)? {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    Ok(lo)
 }
 
 #[cfg(test)]
@@ -530,6 +583,83 @@ mod tests {
         ] {
             let outcome = optimizer.optimize(&tight, &params).unwrap();
             assert!(outcome.r >= 1, "{:?}", params.kind());
+        }
+    }
+
+    #[test]
+    fn large_beta_restart_speculates() {
+        // Job 102 of the converted Google 2011 golden trace. β·r is large
+        // enough that a^p overflows in Theorem 4's closed-form segment; the
+        // optimizer must still see finite utilities and pick r = 2.
+        let job = JobProfile::builder()
+            .tasks(2)
+            .t_min(25.0)
+            .beta(6.0)
+            .deadline(60.0)
+            .price(1.0)
+            .build()
+            .unwrap();
+        let params = StrategyParams::restart(7.5, 15.0).unwrap();
+        let optimizer = Optimizer::new(UtilityModel::new(1e-4, 0.0).unwrap());
+        let outcome = optimizer.optimize(&job, &params).unwrap();
+        let exhaustive = optimizer.optimize_exhaustive(&job, &params).unwrap();
+        assert_eq!(outcome.r, 2);
+        assert_eq!(exhaustive.r, 2);
+        assert_eq!(outcome.utility.to_bits(), exhaustive.utility.to_bits());
+    }
+
+    #[test]
+    fn floor_far_above_threshold_finds_exhaustive_optimum() {
+        // With R_min = 0.9 the S-Restart utility is −∞ far beyond ⌈Γ⌉: the
+        // tail search must start at the first r meeting the floor instead
+        // of giving up on the −∞ plateau.
+        let job = JobProfile::builder()
+            .tasks(50)
+            .t_min(20.0)
+            .beta(2.0)
+            .deadline(35.0)
+            .price(1.0)
+            .build()
+            .unwrap();
+        let params = StrategyParams::restart(14.0, 24.0).unwrap();
+        let objective = UtilityModel::new(1e-3, 0.9).unwrap();
+        let net = objective.for_job(&job, &params).unwrap();
+        let gamma_ceil = net.pocd_model().concave_from().unwrap();
+        let first_feasible = (0..=64).find(|&r| net.meets_floor(r)).unwrap();
+        assert!(
+            first_feasible > gamma_ceil + 10,
+            "{first_feasible} vs {gamma_ceil}"
+        );
+
+        let optimizer = Optimizer::new(objective);
+        let outcome = optimizer.optimize(&job, &params).unwrap();
+        let exhaustive = optimizer.optimize_exhaustive(&job, &params).unwrap();
+        assert_eq!(outcome.r, exhaustive.r);
+        assert_eq!(outcome.r, 54);
+        assert_eq!(outcome.utility.to_bits(), exhaustive.utility.to_bits());
+    }
+
+    #[test]
+    fn huge_r_max_matches_small_r_max_without_scaling_the_memo() {
+        let objective = UtilityModel::new(1e-4, 0.0).unwrap();
+        let small = Optimizer::new(objective);
+        let huge = Optimizer::with_config(
+            objective,
+            OptimizerConfig {
+                r_max: 1 << 30,
+                ..OptimizerConfig::default()
+            },
+        )
+        .unwrap();
+        for params in strategies() {
+            let expected = small.optimize(&job(), &params).unwrap();
+            assert!(expected.r < 64);
+            let net = objective.for_job(&job(), &params).unwrap();
+            let mut memo = MachineTimeMemo::new(&net);
+            let outcome = huge.optimize_memo(&mut memo).unwrap();
+            assert_eq!(outcome, expected, "{:?}", params.kind());
+            // The memo holds the visited r only: O(⌈Γ⌉ + log r*) entries.
+            assert!(memo.evaluations() <= 16, "{}", memo.evaluations());
         }
     }
 

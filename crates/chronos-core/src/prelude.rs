@@ -20,4 +20,4 @@ pub use crate::optimizer::{OptimizationOutcome, Optimizer, OptimizerConfig, Sear
 pub use crate::pareto::Pareto;
 pub use crate::pocd::{compare_pocd, Dominance, PocdModel};
 pub use crate::strategy::{StrategyKind, StrategyParams};
-pub use crate::utility::{NetUtility, UtilityModel};
+pub use crate::utility::{MachineTimeMemo, NetUtility, UtilityModel};

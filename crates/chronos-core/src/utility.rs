@@ -167,21 +167,43 @@ impl NetUtility {
         self.utility_continuous(f64::from(r))
     }
 
-    /// Net utility on the continuous relaxation of `r`, used by the
-    /// line-search phase of Algorithm 1.
+    /// Net utility on the continuous relaxation of `r`. Algorithm 1's
+    /// default integer search never needs it; the
+    /// [`GradientAscent`](crate::optimizer::SearchMethod::GradientAscent)
+    /// backend, the paper's continuous transcription, climbs it.
     ///
     /// # Errors
     ///
     /// Propagates cost-model failures (infinite expectations, quadrature).
     pub fn utility_continuous(&self, r: f64) -> Result<f64, ChronosError> {
-        let pocd = self.pocd.pocd_continuous(r);
-        let margin = pocd - self.objective.r_min;
+        self.utility_from(r, || self.cost.expected_job_machine_time(r))
+    }
+
+    /// `U(r)` with `E[T(r)]` supplied by `machine_time`, which is called
+    /// only when `R(r) > R_min`.
+    fn utility_from(
+        &self,
+        r: f64,
+        machine_time: impl FnOnce() -> Result<f64, ChronosError>,
+    ) -> Result<f64, ChronosError> {
+        let margin = self.pocd_margin(r);
         if margin <= 0.0 {
             return Ok(f64::NEG_INFINITY);
         }
-        let machine_time = self.cost.expected_job_machine_time(r)?;
+        let machine_time = machine_time()?;
         let price = self.pocd.job().price();
         Ok(margin.log10() - self.objective.theta * price * machine_time)
+    }
+
+    /// `R(r) − R_min`: the utility is finite exactly where this is `> 0`.
+    fn pocd_margin(&self, r: f64) -> f64 {
+        self.pocd.pocd_continuous(r) - self.objective.r_min
+    }
+
+    /// Whether `R(r) > R_min`, i.e. whether `U(r)` is finite. Costs no
+    /// quadrature, and is monotone in `r` because the PoCD is.
+    pub(crate) fn meets_floor(&self, r: u32) -> bool {
+        self.pocd_margin(f64::from(r)) > 0.0
     }
 
     /// PoCD at an integer `r` (Theorems 1/3/5).
@@ -216,6 +238,101 @@ impl NetUtility {
     #[must_use]
     pub fn concavity_threshold(&self) -> Option<f64> {
         self.pocd.concavity_threshold()
+    }
+}
+
+/// Per-solve memo of the expected job machine time `E[T(r)]` at integer
+/// `r`.
+///
+/// One Speculative-Restart evaluation is a Theorem 4 quadrature, so
+/// Algorithm 1 routes every `U(r)` through this memo and each visited `r`
+/// is integrated once per solve, however many search phases touch it. The
+/// memo holds only the `r` values actually visited (a handful; see
+/// [`Optimizer`](crate::optimizer::Optimizer)), never a table sized by the
+/// search bound. Every value is bit-identical to the matching
+/// [`NetUtility`] accessor.
+///
+/// # Examples
+///
+/// ```
+/// use chronos_core::prelude::*;
+///
+/// # fn main() -> Result<(), ChronosError> {
+/// let job = JobProfile::builder().build()?;
+/// let net = UtilityModel::default().for_job(&job, &StrategyParams::restart(40.0, 80.0)?)?;
+/// let mut memo = MachineTimeMemo::new(&net);
+/// assert_eq!(memo.utility(2)?.to_bits(), net.utility(2)?.to_bits());
+/// assert_eq!(memo.dollar_cost(2)?.to_bits(), net.dollar_cost(2)?.to_bits());
+/// assert_eq!(memo.evaluations(), 1);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct MachineTimeMemo<'a> {
+    net: &'a NetUtility,
+    /// Visited `(r, E[T(r)])`, sorted by `r`.
+    known: Vec<(u32, f64)>,
+}
+
+impl<'a> MachineTimeMemo<'a> {
+    /// An empty memo over `net`.
+    #[must_use]
+    pub fn new(net: &'a NetUtility) -> Self {
+        MachineTimeMemo {
+            net,
+            known: Vec::new(),
+        }
+    }
+
+    /// The objective this memo evaluates.
+    #[must_use]
+    pub fn net(&self) -> &'a NetUtility {
+        self.net
+    }
+
+    /// `E[T(r)]`, computed on first use; bit-identical to
+    /// [`NetUtility::machine_time`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates cost-model failures (errors are not memoized).
+    pub fn machine_time(&mut self, r: u32) -> Result<f64, ChronosError> {
+        match self.known.binary_search_by_key(&r, |&(seen, _)| seen) {
+            Ok(at) => Ok(self.known[at].1),
+            Err(at) => {
+                let time = self.net.machine_time(r)?;
+                self.known.insert(at, (r, time));
+                Ok(time)
+            }
+        }
+    }
+
+    /// `C · E[T(r)]`, the expression
+    /// [`CostModel::expected_cost`](crate::cost::CostModel::expected_cost)
+    /// uses.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`machine_time`](Self::machine_time).
+    pub fn dollar_cost(&mut self, r: u32) -> Result<f64, ChronosError> {
+        Ok(self.net.cost.job().price() * self.machine_time(r)?)
+    }
+
+    /// `U(r)`; bit-identical to [`NetUtility::utility`]. Integrates nothing
+    /// when `R(r) ≤ R_min`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`machine_time`](Self::machine_time).
+    pub fn utility(&mut self, r: u32) -> Result<f64, ChronosError> {
+        let net = self.net;
+        net.utility_from(f64::from(r), || self.machine_time(r))
+    }
+
+    /// How many distinct `r` have been integrated so far.
+    #[must_use]
+    pub fn evaluations(&self) -> usize {
+        self.known.len()
     }
 }
 

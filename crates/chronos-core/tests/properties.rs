@@ -8,10 +8,19 @@ use proptest::prelude::*;
 /// Strategy-space generator: valid job and timing parameters for which every
 /// closed form is defined.
 fn job_and_timing() -> impl Strategy<Value = (JobProfile, f64, f64, f64)> {
+    job_and_timing_with_beta(1.05..1.95)
+}
+
+/// [`job_and_timing`] with the tail index drawn from `beta`. Large β makes
+/// β·r large, where Theorem 4's closed-form segment overflows unless it is
+/// evaluated in its stable form.
+fn job_and_timing_with_beta(
+    beta: std::ops::Range<f64>,
+) -> impl Strategy<Value = (JobProfile, f64, f64, f64)> {
     (
-        2u32..200,     // tasks
-        5.0f64..60.0,  // t_min
-        1.05f64..1.95, // beta
+        2u32..200,    // tasks
+        5.0f64..60.0, // t_min
+        beta,
         1.5f64..8.0,   // deadline as multiple of t_min
         0.05f64..0.45, // tau_est as fraction of deadline
         0.1f64..0.9,   // phi_est
@@ -150,23 +159,74 @@ proptest! {
     }
 
     /// Theorem 9: the hybrid optimizer (Algorithm 1) returns the same
-    /// optimum as exhaustive search, for every strategy and a range of θ.
+    /// optimum as exhaustive search, for every strategy, a range of θ, tail
+    /// indices up to β = 8 and PoCD floors R_min ∈ {0, 0.5}. Where the
+    /// floor is unreachable both report `Infeasible`.
     #[test]
     fn algorithm1_is_globally_optimal(
-        (job, tau_est, tau_kill, phi) in job_and_timing(),
+        (job, tau_est, tau_kill, phi) in job_and_timing_with_beta(1.05..8.0),
         theta_exp in -6.0f64..-2.0,
+        floor_index in 0usize..2,
     ) {
         let theta = 10f64.powf(theta_exp);
-        let optimizer = Optimizer::new(UtilityModel::new(theta, 0.0).unwrap());
+        let r_min = [0.0, 0.5][floor_index];
+        let optimizer = Optimizer::new(UtilityModel::new(theta, r_min).unwrap());
         for params in all_strategies(tau_est, tau_kill, phi) {
-            let hybrid = optimizer.optimize(&job, &params).unwrap();
-            let exhaustive = optimizer.optimize_exhaustive(&job, &params).unwrap();
-            // Ties on utility can legitimately resolve to different r.
-            prop_assert!(
-                (hybrid.utility - exhaustive.utility).abs() < 1e-9,
-                "{:?}: hybrid r={} u={} vs exhaustive r={} u={}",
-                params.kind(), hybrid.r, hybrid.utility, exhaustive.r, exhaustive.utility
-            );
+            let hybrid = optimizer.optimize(&job, &params);
+            let exhaustive = optimizer.optimize_exhaustive(&job, &params);
+            match (hybrid, exhaustive) {
+                (Ok(hybrid), Ok(exhaustive)) => {
+                    // Ties on utility can legitimately resolve to different r.
+                    prop_assert!(
+                        (hybrid.utility - exhaustive.utility).abs() < 1e-9,
+                        "{:?}: hybrid r={} u={} vs exhaustive r={} u={}",
+                        params.kind(), hybrid.r, hybrid.utility, exhaustive.r, exhaustive.utility
+                    );
+                }
+                (Err(ChronosError::Infeasible { .. }), Err(ChronosError::Infeasible { .. })) => {}
+                (hybrid, exhaustive) => prop_assert!(
+                    false,
+                    "{:?}: hybrid {:?} vs exhaustive {:?}",
+                    params.kind(), hybrid, exhaustive
+                ),
+            }
+        }
+    }
+
+    /// Algorithm 1 is never `Infeasible` where exhaustive search finds a
+    /// feasible r, whatever the floor.
+    #[test]
+    fn algorithm1_feasible_whenever_exhaustive_is(
+        (job, tau_est, tau_kill, phi) in job_and_timing_with_beta(1.05..8.0),
+        theta_exp in -6.0f64..-2.0,
+        r_min in 0.0f64..0.99,
+    ) {
+        let theta = 10f64.powf(theta_exp);
+        let optimizer = Optimizer::new(UtilityModel::new(theta, r_min).unwrap());
+        for params in all_strategies(tau_est, tau_kill, phi) {
+            if let Ok(exhaustive) = optimizer.optimize_exhaustive(&job, &params) {
+                let hybrid = optimizer.optimize(&job, &params);
+                prop_assert!(
+                    hybrid.is_ok(),
+                    "{:?}: exhaustive r={} but hybrid {:?}",
+                    params.kind(), exhaustive.r, hybrid
+                );
+            }
+        }
+    }
+
+    /// Every strategy's expected machine time is finite on the optimizer's
+    /// whole default range r ∈ 0..=64, even for β·r in the hundreds.
+    #[test]
+    fn machine_time_finite_over_search_range(
+        (job, tau_est, tau_kill, phi) in job_and_timing_with_beta(1.05..8.0),
+    ) {
+        for params in all_strategies(tau_est, tau_kill, phi) {
+            let cost = CostModel::new(job, params).unwrap();
+            for r in 0..=64u32 {
+                let time = cost.expected_job_machine_time(f64::from(r)).unwrap();
+                prop_assert!(time.is_finite(), "{:?} r={r}: {time}", params.kind());
+            }
         }
     }
 

@@ -100,7 +100,7 @@ fn kind_tag(kind: StrategyKind) -> u8 {
 /// Stable small discriminant of a [`SearchMethod`].
 fn method_tag(method: SearchMethod) -> u8 {
     match method {
-        SearchMethod::GoldenSection => 0,
+        SearchMethod::ConcaveTailBisection => 0,
         SearchMethod::GradientAscent => 1,
     }
 }

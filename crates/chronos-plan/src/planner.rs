@@ -2,6 +2,7 @@
 
 use crate::cache::{CacheStats, PlanCache};
 use crate::key::ProfileKey;
+use chronos_core::utility::MachineTimeMemo;
 use chronos_core::{
     ChronosError, JobProfile, OptimizationOutcome, Optimizer, OptimizerConfig, StrategyParams,
     UtilityModel,
@@ -189,12 +190,15 @@ impl Planner {
             .optimizer
             .objective()
             .for_job(&request.job, &request.params)?;
-        let outcome = self.optimizer.optimize_net(&net)?;
+        // r = 0 is in the optimizer's head scan, so the baseline usually
+        // reads its machine time from the solve's memo.
+        let mut memo = MachineTimeMemo::new(&net);
+        let outcome = self.optimizer.optimize_memo(&mut memo)?;
         Ok(Plan {
             outcome,
             baseline_pocd: net.pocd(0)?,
-            baseline_machine_time: net.machine_time(0)?,
-            baseline_dollar_cost: net.dollar_cost(0)?,
+            baseline_machine_time: memo.machine_time(0)?,
+            baseline_dollar_cost: memo.dollar_cost(0)?,
         })
     }
 
@@ -360,6 +364,45 @@ mod tests {
         );
         assert!(plan.pocd_gain() > 0.0);
         assert!(plan.machine_time_overhead() > 0.0);
+    }
+
+    #[test]
+    fn memoized_fields_match_fresh_evaluation_bit_for_bit() {
+        // The solve reads E[T] for the outcome and the r = 0 baseline from
+        // its memo; each must carry the bits of a fresh evaluation. With
+        // R_min = 0.5, Clone and S-Restart miss the floor at r = 0, so the
+        // head never integrates it and the baseline is computed on demand.
+        for r_min in [0.0, 0.5] {
+            let objective = UtilityModel::new(1e-4, r_min).unwrap();
+            let planner = Planner::new(objective);
+            for params in [
+                StrategyParams::clone_strategy(80.0),
+                StrategyParams::restart(40.0, 80.0).unwrap(),
+                StrategyParams::resume(40.0, 80.0, 0.4).unwrap(),
+            ] {
+                let job = job(100.0);
+                let plan = planner.plan(&job, &params).unwrap();
+                let net = objective.for_job(&job, &params).unwrap();
+                let r = plan.outcome.r;
+                let fresh = [
+                    (plan.outcome.pocd, net.pocd(r).unwrap()),
+                    (plan.outcome.machine_time, net.machine_time(r).unwrap()),
+                    (plan.outcome.dollar_cost, net.dollar_cost(r).unwrap()),
+                    (plan.outcome.utility, net.utility(r).unwrap()),
+                    (plan.baseline_pocd, net.pocd(0).unwrap()),
+                    (plan.baseline_machine_time, net.machine_time(0).unwrap()),
+                    (plan.baseline_dollar_cost, net.dollar_cost(0).unwrap()),
+                ];
+                for (field, (memoized, expected)) in fresh.into_iter().enumerate() {
+                    assert_eq!(
+                        memoized.to_bits(),
+                        expected.to_bits(),
+                        "R_min {r_min} {:?} field {field}",
+                        params.kind()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
