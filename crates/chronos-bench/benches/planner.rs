@@ -1,8 +1,9 @@
 //! Criterion benches for the `chronos-plan` subsystem: what memoized,
 //! deduplicated batch planning saves over per-job `Optimizer::optimize`
 //! calls on a repeated-profile workload — the serving-path pattern where
-//! thousands of submissions share a handful of job classes — and what one
-//! cold S-Restart solve costs.
+//! thousands of submissions share a handful of job classes — what one
+//! cold S-Restart solve costs, and what one cold budget-allocation round
+//! over distinct Google-shaped profiles costs.
 //!
 //! Setting `CHRONOS_BENCH_SMOKE=1` shrinks the batch and takes a single
 //! sample — the CI `bench-smoke` job uses this to catch panics and API rot
@@ -10,6 +11,7 @@
 
 use chronos_core::prelude::*;
 use chronos_plan::prelude::*;
+use chronos_trace::google::GoogleTraceConfig;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
@@ -159,12 +161,59 @@ fn bench_cold_restart_solve(c: &mut Criterion) {
     group.finish();
 }
 
+/// One budget round of the google-budget workload: `allocate` on a fresh
+/// planner over the first 188-job chunk of the synthetic Google trace
+/// (3,000 jobs, trace seed 2011), every job a distinct S-Restart profile
+/// with the trace timing `τ_est = 0.3·t_min`, `τ_kill = 0.6·t_min`,
+/// under a binding budget of 192 copies. Each iteration pays the cold
+/// solves plus the concave envelopes water-filling needs.
+fn bench_budget_allocate_cold(c: &mut Criterion) {
+    let chunk = GoogleTraceConfig::scaled(3_000, 2011)
+        .stream(188)
+        .expect("valid trace configuration")
+        .next()
+        .expect("a first chunk");
+    let jobs: Vec<BudgetJob> = chunk
+        .iter()
+        .map(|spec| {
+            let t_min = spec.profile.t_min();
+            let job = JobProfile::builder()
+                .tasks(spec.tasks.len().max(1) as u32)
+                .t_min(t_min)
+                .beta(spec.profile.beta())
+                .deadline(spec.deadline_secs)
+                .price(spec.price)
+                .build()
+                .expect("trace jobs have valid profiles");
+            let params = StrategyParams::restart(0.3 * t_min, 0.6 * t_min).expect("ordered");
+            BudgetJob::new(spec.id.raw(), PlanRequest::new(job, params))
+        })
+        .collect();
+    let objective = UtilityModel::default();
+    let budget = SpeculationBudget::Limited(192);
+    let probe = Planner::new(objective);
+    let allocation = allocate(&probe, &jobs, budget).expect("allocates");
+    assert_eq!(probe.stats().misses, jobs.len() as u64, "distinct profiles");
+    assert!(allocation.requested > 192, "the budget binds");
+
+    let mut group = c.benchmark_group("budget-allocate-cold");
+    if smoke() {
+        group.sample_size(1);
+        group.measurement_time(Duration::from_millis(1));
+    }
+    group.bench_function("google-188-jobs-s-restart", |b| {
+        b.iter(|| allocate(&Planner::new(objective), &jobs, budget).expect("allocates"))
+    });
+    group.finish();
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default()
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(20);
-    targets = bench_plan_batch_vs_uncached, bench_single_plan_lookup, bench_cold_restart_solve
+    targets = bench_plan_batch_vs_uncached, bench_single_plan_lookup, bench_cold_restart_solve,
+        bench_budget_allocate_cold
 );
 criterion_main!(benches);

@@ -241,8 +241,8 @@ impl NetUtility {
     }
 }
 
-/// Per-solve memo of the expected job machine time `E[T(r)]` at integer
-/// `r`.
+/// Memo of the expected job machine time `E[T(r)]` at integer `r` for one
+/// bound objective.
 ///
 /// One Speculative-Restart evaluation is a Theorem 4 quadrature, so
 /// Algorithm 1 routes every `U(r)` through this memo and each visited `r`
@@ -251,6 +251,12 @@ impl NetUtility {
 /// [`Optimizer`](crate::optimizer::Optimizer)), never a table sized by the
 /// search bound. Every value is bit-identical to the matching
 /// [`NetUtility`] accessor.
+///
+/// The solve is not the only reader: the speculation-budget allocator
+/// (`chronos-plan`'s water-filling) needs `U(0..=r*)` for the same
+/// profile, so it takes the solve's points with
+/// [`into_visited`](Self::into_visited) and rebuilds a memo over them with
+/// [`seeded`](Self::seeded), integrating only the `r` the search skipped.
 ///
 /// # Examples
 ///
@@ -282,6 +288,24 @@ impl<'a> MachineTimeMemo<'a> {
             net,
             known: Vec::new(),
         }
+    }
+
+    /// A memo over `net` that already knows `points`, each an `(r,
+    /// E[T(r)])` pair of this same `net` — typically an earlier memo's
+    /// [`into_visited`](Self::into_visited), or machine times a solve
+    /// reported. Any other `r` is integrated on first use, as in
+    /// [`new`](Self::new). Duplicate `r` keep their first value.
+    #[must_use]
+    pub fn seeded(net: &'a NetUtility, mut points: Vec<(u32, f64)>) -> Self {
+        points.sort_by_key(|&(r, _)| r);
+        points.dedup_by_key(|&mut (r, _)| r);
+        MachineTimeMemo { net, known: points }
+    }
+
+    /// The visited `(r, E[T(r)])` pairs, sorted by `r`.
+    #[must_use]
+    pub fn into_visited(self) -> Vec<(u32, f64)> {
+        self.known
     }
 
     /// The objective this memo evaluates.
@@ -463,6 +487,34 @@ mod tests {
             let n = net(1e-4, 0.0, params);
             assert!(n.utility(40).unwrap() < n.utility(2).unwrap());
         }
+    }
+
+    #[test]
+    fn seeded_memo_reuses_known_points_and_integrates_the_rest() {
+        let n = net(1e-4, 0.0, StrategyParams::restart(40.0, 80.0).unwrap());
+        let mut first = MachineTimeMemo::new(&n);
+        for r in [0, 2, 5] {
+            first.machine_time(r).unwrap();
+        }
+        let visited = first.into_visited();
+        assert_eq!(
+            visited.iter().map(|&(r, _)| r).collect::<Vec<_>>(),
+            [0, 2, 5]
+        );
+
+        // Unsorted, with a repeat: the first value of each r is kept.
+        let mut seeded =
+            MachineTimeMemo::seeded(&n, vec![visited[2], visited[0], visited[1], (5, f64::NAN)]);
+        assert_eq!(seeded.evaluations(), 3);
+        for r in 0..=5 {
+            assert_eq!(
+                seeded.utility(r).unwrap().to_bits(),
+                n.utility(r).unwrap().to_bits(),
+                "r = {r}"
+            );
+        }
+        // 1, 3 and 4 were integrated on demand.
+        assert_eq!(seeded.evaluations(), 6);
     }
 
     #[test]

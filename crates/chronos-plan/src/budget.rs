@@ -56,7 +56,8 @@
 //! curves the rest of the system optimizes.
 
 use crate::key::ProfileKey;
-use crate::planner::{PlanRequest, Planner};
+use crate::planner::{PlanRequest, PlanResult, Planner};
+use chronos_core::utility::MachineTimeMemo;
 use chronos_core::ChronosError;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -220,15 +221,23 @@ fn grants_digest(pairs: impl Iterator<Item = (u64, u32)>) -> String {
 }
 
 /// Distributes `budget` speculative copies across `jobs` by the greedy
-/// water-filling of the module docs, planning each job's unconstrained
-/// optimum through `planner` (so repeated profiles cost one solve via the
-/// planner's cache).
+/// water-filling of the module docs.
+///
+/// One dedup pass plans each distinct [`ProfileKey`] once through
+/// `planner`'s cache, in first-occurrence order, and counts the repeats as
+/// deduplicated hits — the cache traffic of [`Planner::plan_batch`] on one
+/// worker. When this call is the one that solves a profile, it keeps the
+/// solve's `(r, E[T(r)])` points, so the profile's concave envelope is
+/// built without integrating Theorem 4 again at any `r` the search
+/// visited; a profile already in the cache seeds the envelope from its
+/// [`Plan`](crate::Plan)'s `r = 0` and `r*` machine times instead.
 ///
 /// The result is deterministic: a pure function of the batch, the budget
-/// and the planner's objective/configuration. Infeasible jobs (per-job
-/// plan errors) are granted 0 copies and counted in
-/// [`Allocation::infeasible`] — the allocator never fails on them, exactly
-/// as the unbudgeted policies fall back rather than abort.
+/// and the planner's objective/configuration, whether its profiles were
+/// cached or not. Infeasible jobs (per-job plan errors) are granted 0
+/// copies and counted in [`Allocation::infeasible`] — the allocator never
+/// fails on them, exactly as the unbudgeted policies fall back rather than
+/// abort.
 ///
 /// # Errors
 ///
@@ -240,15 +249,36 @@ pub fn allocate(
     jobs: &[BudgetJob],
     budget: SpeculationBudget,
 ) -> Result<Allocation, ChronosError> {
-    let requests: Vec<PlanRequest> = jobs.iter().map(|job| job.request).collect();
-    // workers = 1: allocation runs inside a (possibly sharded) policy; the
-    // sharded runner is the concurrency layer, not the allocator.
-    let plans = planner.plan_batch(&requests, 1);
+    // Dedup pass: `profiles[slot_of[i]]` is job i's distinct profile. No
+    // worker pool: allocation runs inside a (possibly sharded) policy, and
+    // the sharded runner is the concurrency layer, not the allocator.
+    let mut index_of: HashMap<ProfileKey, usize> = HashMap::new();
+    let mut profiles: Vec<Profile> = Vec::new();
+    let slot_of: Vec<usize> = jobs
+        .iter()
+        .map(|job| {
+            let key = planner.key_of(&job.request);
+            *index_of.entry(key).or_insert_with(|| {
+                let (plan, visited) = planner.plan_visited(key, &job.request);
+                profiles.push(Profile {
+                    request: job.request,
+                    plan,
+                    visited,
+                });
+                profiles.len() - 1
+            })
+        })
+        .collect();
+    // Requests absorbed by the dedup pass never reached the cache; they
+    // are hits from the caller's perspective (served without a solve).
+    planner
+        .cache()
+        .note_deduplicated_hits((jobs.len() - profiles.len()) as u64);
 
     let mut infeasible = 0u32;
-    let unconstrained: Vec<u32> = plans
+    let unconstrained: Vec<u32> = slot_of
         .iter()
-        .map(|plan| match plan {
+        .map(|&slot| match &profiles[slot].plan {
             Ok(plan) => plan.outcome.r,
             Err(_) => {
                 infeasible += 1;
@@ -261,7 +291,13 @@ pub fn allocate(
     let granted = match budget.limit() {
         None => unconstrained.clone(),
         Some(limit) if limit >= requested => unconstrained.clone(),
-        Some(limit) => water_fill(planner, jobs, &plans, &unconstrained, limit)?,
+        Some(limit) => {
+            let envelopes = profiles
+                .into_iter()
+                .map(|profile| profile.envelope(planner))
+                .collect::<Result<Vec<_>, _>>()?;
+            water_fill(jobs, &envelopes, &slot_of, limit)
+        }
     };
 
     let spent = granted.iter().map(|&r| u64::from(r)).sum();
@@ -283,6 +319,48 @@ pub fn allocate(
     })
 }
 
+/// One distinct profile of an [`allocate`] batch: the request that first
+/// named it, its plan, and — when this call solved it — the `(r,
+/// E[T(r)])` points the solve integrated.
+struct Profile {
+    request: PlanRequest,
+    plan: PlanResult,
+    visited: Option<Vec<(u32, f64)>>,
+}
+
+impl Profile {
+    /// The concave-envelope blocks of `U(0..=r*)`; empty for an infeasible
+    /// profile or `r* = 0`, which never take part in water-filling.
+    ///
+    /// `U` is evaluated through a [`MachineTimeMemo`] seeded with what is
+    /// already known of `E[T]`: every point the solve visited, or for a
+    /// cached plan its `r = 0` and `r*` machine times. Both are the bits a
+    /// fresh evaluation gives, and any other `r` is integrated on demand,
+    /// so the blocks equal those of `NetUtility::utility(0..=r*)`.
+    fn envelope(self, planner: &Planner) -> Result<Vec<Block>, ChronosError> {
+        let plan = match self.plan {
+            Ok(plan) if plan.outcome.r > 0 => plan,
+            _ => return Ok(Vec::new()),
+        };
+        let r_star = plan.outcome.r;
+        let net = planner
+            .optimizer()
+            .objective()
+            .for_job(&self.request.job, &self.request.params)?;
+        let known = self.visited.unwrap_or_else(|| {
+            vec![
+                (0, plan.baseline_machine_time),
+                (r_star, plan.outcome.machine_time),
+            ]
+        });
+        let mut memo = MachineTimeMemo::seeded(&net, known);
+        let utilities = (0..=r_star)
+            .map(|r| memo.utility(r))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(envelope_blocks(&utilities))
+    }
+}
+
 /// One concave-envelope block of a job's utility curve: granting `size`
 /// copies (ending at `end`) yields `avg` utility per copy.
 #[derive(Debug, Clone, Copy)]
@@ -292,48 +370,14 @@ struct Block {
 }
 
 /// The constrained path of [`allocate`]: `limit < Σ r*_j` is already
-/// established, so at least one job will be cut short.
+/// established, so at least one job will be cut short. Job `j` climbs the
+/// blocks `envelopes[slot_of[j]]` of its distinct profile.
 fn water_fill(
-    planner: &Planner,
     jobs: &[BudgetJob],
-    plans: &[crate::planner::PlanResult],
-    unconstrained: &[u32],
+    envelopes: &[Vec<Block>],
+    slot_of: &[usize],
     limit: u64,
-) -> Result<Vec<u32>, ChronosError> {
-    // Per-job concave-envelope blocks, cheapest representation: the block
-    // list plus a cursor. Only feasible jobs with r* > 0 participate.
-    // Identical requests have identical curves, so the envelope is memoized
-    // per profile key — the closed forms behind `utility` involve numerical
-    // quadrature (Theorem 4), far too costly to re-evaluate for each of
-    // thousands of same-profile jobs in a round.
-    let mut memo: HashMap<ProfileKey, Vec<Block>> = HashMap::new();
-    let mut blocks: Vec<Vec<Block>> = Vec::with_capacity(jobs.len());
-    for (index, job) in jobs.iter().enumerate() {
-        let r_star = unconstrained[index];
-        if r_star == 0 || plans[index].is_err() {
-            blocks.push(Vec::new());
-            continue;
-        }
-        let key = planner.key_of(&job.request);
-        let job_blocks = match memo.get(&key) {
-            Some(job_blocks) => job_blocks.clone(),
-            None => {
-                let net = planner
-                    .optimizer()
-                    .objective()
-                    .for_job(&job.request.job, &job.request.params)?;
-                let mut utilities = Vec::with_capacity(r_star as usize + 1);
-                for r in 0..=r_star {
-                    utilities.push(net.utility(r)?);
-                }
-                let job_blocks = envelope_blocks(&utilities);
-                memo.insert(key, job_blocks.clone());
-                job_blocks
-            }
-        };
-        blocks.push(job_blocks);
-    }
-
+) -> Vec<u32> {
     let mut granted = vec![0u32; jobs.len()];
     let mut cursor = vec![0usize; jobs.len()];
     let mut remaining = limit;
@@ -341,8 +385,8 @@ fn water_fill(
         // The affordable block with the highest average gain; ties resolve
         // to the lowest job id so the scan order is immaterial.
         let mut best: Option<(usize, f64)> = None;
-        for (index, job_blocks) in blocks.iter().enumerate() {
-            let Some(block) = job_blocks.get(cursor[index]) else {
+        for (index, &slot) in slot_of.iter().enumerate() {
+            let Some(block) = envelopes[slot].get(cursor[index]) else {
                 continue;
             };
             let size = u64::from(block.end - granted[index]);
@@ -365,7 +409,7 @@ fn water_fill(
         let Some((index, _)) = best else {
             break;
         };
-        let block = blocks[index][cursor[index]];
+        let block = envelopes[slot_of[index]][cursor[index]];
         remaining -= u64::from(block.end - granted[index]);
         granted[index] = block.end;
         cursor[index] += 1;
@@ -373,7 +417,7 @@ fn water_fill(
             break;
         }
     }
-    Ok(granted)
+    granted
 }
 
 /// Decomposes a utility curve `utilities[0..=r*]` into its concave-envelope
@@ -690,6 +734,103 @@ mod tests {
         assert_eq!(summary.batches, 2);
         assert_eq!(summary.jobs, 3);
         assert_eq!(summary.spent, first.spent + rest.spent);
+    }
+
+    /// `(end, avg bits)` of each block, for bit-exact comparison.
+    fn block_bits(blocks: &[Block]) -> Vec<(u32, u64)> {
+        blocks
+            .iter()
+            .map(|block| (block.end, block.avg.to_bits()))
+            .collect()
+    }
+
+    /// The reference envelope: blocks of a fresh
+    /// `NetUtility::utility(0..=r*)`, no memo involved.
+    fn fresh_envelope(planner: &Planner, request: &PlanRequest) -> Vec<(u32, u64)> {
+        let r_star = planner.solve_uncached(request).unwrap().outcome.r;
+        let net = planner
+            .optimizer()
+            .objective()
+            .for_job(&request.job, &request.params)
+            .unwrap();
+        let utilities: Vec<f64> = (0..=r_star).map(|r| net.utility(r).unwrap()).collect();
+        block_bits(&envelope_blocks(&utilities))
+    }
+
+    /// The envelope `allocate` builds for `request` through `planner`'s
+    /// cache, and whether that lookup solved it (the miss path).
+    fn planned_envelope(planner: &Planner, request: &PlanRequest) -> (Vec<(u32, u64)>, bool) {
+        let (plan, visited) = planner.plan_visited(planner.key_of(request), request);
+        let solved = visited.is_some();
+        let profile = Profile {
+            request: *request,
+            plan,
+            visited,
+        };
+        (block_bits(&profile.envelope(planner).unwrap()), solved)
+    }
+
+    /// Asserts the miss-path envelope (first lookup) and the hit-path one
+    /// (second lookup) both equal the fresh reference, bit for bit.
+    fn assert_envelopes_match_fresh(planner: &Planner, request: &PlanRequest) {
+        let expected = fresh_envelope(planner, request);
+        assert!(!expected.is_empty(), "{:?}: r* = 0", request.params.kind());
+        let (miss, solved) = planned_envelope(planner, request);
+        assert!(solved, "the first lookup must solve");
+        assert_eq!(miss, expected, "miss path, {:?}", request.params.kind());
+        let (hit, solved) = planned_envelope(planner, request);
+        assert!(!solved, "the second lookup must hit");
+        assert_eq!(hit, expected, "hit path, {:?}", request.params.kind());
+    }
+
+    #[test]
+    fn envelopes_match_a_fresh_evaluation_bit_for_bit() {
+        // With R_min = 0.5, Clone and S-Restart miss the floor at r = 0:
+        // their envelopes start with an escape block from U(0) = −∞.
+        for r_min in [0.0, 0.5] {
+            let planner = Planner::new(UtilityModel::new(1e-4, r_min).unwrap());
+            for params in [
+                StrategyParams::clone_strategy(80.0),
+                StrategyParams::restart(40.0, 80.0).unwrap(),
+                StrategyParams::resume(40.0, 80.0, 0.4).unwrap(),
+            ] {
+                let job = batch_job(0, 100.0).request.job;
+                assert_envelopes_match_fresh(&planner, &PlanRequest::new(job, params));
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_memo_integrates_the_points_the_tail_search_skipped() {
+        // A wide job with a tight deadline and a small θ: ⌈Γ⌉ = 11 and
+        // r* = 19, so the tail search steps and bisects past interior
+        // points (13, 15, 16). The envelope needs U at every r up to r*,
+        // so the seeded memo must integrate the skipped ones.
+        let job = JobProfile::builder()
+            .tasks(200)
+            .t_min(20.0)
+            .beta(1.5)
+            .deadline(40.0)
+            .price(1.0)
+            .build()
+            .unwrap();
+        let request = PlanRequest::new(job, StrategyParams::restart(14.0, 24.0).unwrap());
+        let objective = UtilityModel::new(1e-5, 0.0).unwrap();
+        let net = objective.for_job(&request.job, &request.params).unwrap();
+        let gamma_ceil = net.pocd_model().concave_from().unwrap();
+
+        let probe = Planner::new(objective);
+        let (plan, visited) = probe.plan_visited(probe.key_of(&request), &request);
+        let r_star = plan.unwrap().outcome.r;
+        assert!(r_star > gamma_ceil + 2, "r* {r_star} vs ⌈Γ⌉ {gamma_ceil}");
+        let visited = visited.unwrap();
+        let skipped = (gamma_ceil + 2..r_star)
+            .filter(|r| visited.binary_search_by_key(r, |&(seen, _)| seen).is_err())
+            .filter(|&r| net.utility(r).unwrap().is_finite())
+            .count();
+        assert!(skipped > 0, "visited {visited:?}");
+
+        assert_envelopes_match_fresh(&Planner::new(objective), &request);
     }
 
     #[test]

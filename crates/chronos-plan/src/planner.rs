@@ -186,6 +186,16 @@ impl Planner {
     }
 
     fn solve(&self, request: &PlanRequest) -> PlanResult {
+        self.solve_visited(request).map(|(plan, _)| plan)
+    }
+
+    /// [`Planner::solve_uncached`] that also hands back the solve's memo:
+    /// every `(r, E[T(r)])` it integrated, sorted by `r` (see
+    /// [`MachineTimeMemo::into_visited`]).
+    fn solve_visited(
+        &self,
+        request: &PlanRequest,
+    ) -> Result<(Plan, Vec<(u32, f64)>), ChronosError> {
         let net = self
             .optimizer
             .objective()
@@ -194,12 +204,31 @@ impl Planner {
         // reads its machine time from the solve's memo.
         let mut memo = MachineTimeMemo::new(&net);
         let outcome = self.optimizer.optimize_memo(&mut memo)?;
-        Ok(Plan {
+        let plan = Plan {
             outcome,
             baseline_pocd: net.pocd(0)?,
             baseline_machine_time: memo.machine_time(0)?,
             baseline_dollar_cost: memo.dollar_cost(0)?,
-        })
+        };
+        Ok((plan, memo.into_visited()))
+    }
+
+    /// Plans `request` (whose key is `key`) through the cache like
+    /// [`Planner::plan_request`], and on a miss also returns the points
+    /// the solve integrated. A hit returns `None`: the cached [`Plan`]
+    /// carries only `E[T]` at `r = 0` and at its optimum.
+    pub(crate) fn plan_visited(
+        &self,
+        key: ProfileKey,
+        request: &PlanRequest,
+    ) -> (PlanResult, Option<Vec<(u32, f64)>>) {
+        let mut visited = None;
+        let plan = self.cache.get_or_compute(key, || {
+            let (plan, points) = self.solve_visited(request)?;
+            visited = Some(points);
+            Ok(plan)
+        });
+        (plan, visited)
     }
 
     /// Plans one job/strategy pair, memoized.

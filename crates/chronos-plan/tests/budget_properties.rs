@@ -7,6 +7,7 @@
 use chronos_core::prelude::*;
 use chronos_plan::prelude::*;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Discrete pools mirroring `planner_properties.rs`: small pools force
 /// duplicate profiles (tied marginals) while covering all three strategies
@@ -123,6 +124,37 @@ proptest! {
         for grant in &first.grants {
             prop_assert!(grant.copies <= grant.unconstrained);
         }
+    }
+
+    /// Where a profile's envelope comes from never changes a grant: the
+    /// allocator's own solve (its visited E[T] points) or an earlier
+    /// planner's cached plan (its r = 0 and r* machine times). A cold
+    /// planner, the same planner called again (every profile cached), and
+    /// a planner over a cache another planner filled with every other job
+    /// (hits and misses in one batch) give one allocation.
+    #[test]
+    fn allocation_is_independent_of_what_the_cache_holds(
+        seed in 0u64..1_000_000,
+        len in 1usize..40,
+        budget in 0u64..30,
+    ) {
+        let jobs = batch(seed, len);
+        let budget = SpeculationBudget::Limited(budget);
+        let planner = planner();
+        let cold = allocate(&planner, &jobs, budget).unwrap();
+        let warm = allocate(&planner, &jobs, budget).unwrap();
+
+        let cache = PlanCache::shared();
+        let filler = Planner::with_cache(*planner.optimizer(), Arc::clone(&cache));
+        let every_other: Vec<PlanRequest> =
+            jobs.iter().step_by(2).map(|job| job.request).collect();
+        let _ = filler.plan_batch(&every_other, 1);
+        let prefilled = Planner::with_cache(*planner.optimizer(), cache);
+        let prefilled = allocate(&prefilled, &jobs, budget).unwrap();
+
+        prop_assert_eq!(cold.digest(), warm.digest());
+        prop_assert_eq!(cold.digest(), prefilled.digest());
+        prop_assert_eq!(&cold, &prefilled);
     }
 
     /// A zero budget grants nothing, whatever the batch looks like.

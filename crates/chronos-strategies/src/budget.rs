@@ -120,8 +120,8 @@ impl PolicyBuilder {
 
     /// Shares `cache` with every policy built: each distinct `(profile,
     /// strategy, objective)` combination is solved once across the whole
-    /// line-up (and, under a finite budget, the allocator reuses the same
-    /// solves).
+    /// line-up (and, under a finite budget, the allocator and the policy it
+    /// wraps share the same solves).
     #[must_use]
     pub fn cached(mut self, cache: Arc<PlanCache>) -> Self {
         self.cache = Some(cache);
@@ -312,11 +312,8 @@ impl SpeculationPolicy for BudgetedPolicy {
     }
 
     fn on_job_batch(&mut self, jobs: &[JobSubmitView]) -> Result<BatchPlan, SimError> {
-        // Warm the inner policy's planner first (its plan is empty: the
-        // Chronos strategies only prefetch here).
-        let inner_plan = self.inner.on_job_batch(jobs)?;
         if self.budget.is_unlimited() {
-            return Ok(inner_plan);
+            return self.inner.on_job_batch(jobs);
         }
 
         // Jobs whose request cannot even be formed are infeasible for the
@@ -330,8 +327,14 @@ impl SpeculationPolicy for BudgetedPolicy {
                 plannable[index] = true;
             }
         }
+        // Allocate before the inner policy's prefetch (its plan is empty:
+        // the Chronos strategies only prefetch here). Over a shared cache
+        // the allocator's lookups are then the misses, so it builds each
+        // envelope from its own solve's E[T] points, and the prefetch is
+        // all hits.
         let allocation = allocate(&self.allocator, &budget_jobs, self.budget)
             .map_err(|err| SimError::from(err).with_context("allocating the speculation budget"))?;
+        self.inner.on_job_batch(jobs)?;
         if let Some(ledger) = &self.ledger {
             ledger.record(&allocation);
         }
@@ -550,6 +553,42 @@ mod tests {
         assert!(tight.total_attempts() <= unlimited.total_attempts());
         assert!(zero.total_attempts() <= tight.total_attempts());
         assert!(zero.total_attempts() < unlimited.total_attempts());
+    }
+
+    #[test]
+    fn shared_cache_counters_are_pinned_across_a_budgeted_batch() {
+        // Six jobs, three distinct profiles. The allocator solves each
+        // profile once (3 misses) and serves the 3 repeats from its dedup
+        // pass; the inner policy's prefetch then finds all 3 cached and
+        // dedups the same 3 repeats: 3 + 3 + 3 = 9 hits. The totals do
+        // not depend on which of the two looks first.
+        let views: Vec<JobSubmitView> = [100.0, 140.0, 100.0, 200.0, 140.0, 100.0]
+            .into_iter()
+            .enumerate()
+            .map(|(index, deadline)| JobSubmitView {
+                job: JobId::new(index as u64),
+                task_count: 6,
+                deadline_secs: deadline,
+                price: 1.0,
+                profile: Pareto::new(20.0, 1.5).unwrap(),
+            })
+            .collect();
+        for kind in [
+            PolicyKind::Clone,
+            PolicyKind::SpeculativeRestart,
+            PolicyKind::SpeculativeResume,
+        ] {
+            let cache = PlanCache::shared();
+            let mut policy = PolicyBuilder::new(ChronosPolicyConfig::testbed())
+                .cached(Arc::clone(&cache))
+                .budgeted(SpeculationBudget::Limited(2))
+                .build(kind)
+                .unwrap();
+            let plan = policy.on_job_batch(&views).unwrap();
+            assert_eq!(plan.override_count(), views.len(), "{kind:?}");
+            let stats = cache.stats();
+            assert_eq!((stats.misses, stats.hits), (3, 9), "{kind:?}");
+        }
     }
 
     #[test]

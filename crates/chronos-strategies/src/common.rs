@@ -86,45 +86,6 @@ impl ChronosPolicyConfig {
             .price(job.price)
             .build()
     }
-
-    /// Runs Algorithm 1 for the given strategy kind on a submitted job and
-    /// returns the optimal `r`, falling back to `fallback_r` when the
-    /// problem is infeasible or the timing is incompatible with the job.
-    /// When [`fixed_r`](Self::fixed_r) is set it is returned directly.
-    #[must_use]
-    pub fn optimize_r(&self, job: &JobSubmitView, kind: StrategyKind) -> u32 {
-        if let Some(fixed) = self.fixed_r {
-            return fixed;
-        }
-        self.try_optimize_r(job, kind).unwrap_or(self.fallback_r)
-    }
-
-    /// Same as [`optimize_r`](Self::optimize_r) but surfacing errors, for
-    /// callers that want to distinguish infeasible jobs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates profile construction, strategy validation and optimizer
-    /// failures.
-    pub fn try_optimize_r(
-        &self,
-        job: &JobSubmitView,
-        kind: StrategyKind,
-    ) -> Result<u32, ChronosError> {
-        let profile = self.job_profile(job)?;
-        let (tau_est, tau_kill) = self.timing.resolve(job.profile.t_min());
-        let params = match kind {
-            StrategyKind::Clone => StrategyParams::clone_strategy(tau_kill),
-            StrategyKind::SpeculativeRestart => StrategyParams::restart(tau_est, tau_kill)?,
-            StrategyKind::SpeculativeResume => {
-                let phi =
-                    expected_straggler_progress(tau_est, job.deadline_secs, job.profile.beta());
-                StrategyParams::resume(tau_est, tau_kill, phi)?
-            }
-        };
-        let optimizer = Optimizer::with_config(self.objective, self.optimizer)?;
-        Ok(optimizer.optimize(&profile, &params)?.r)
-    }
 }
 
 impl Default for ChronosPolicyConfig {
@@ -136,9 +97,9 @@ impl Default for ChronosPolicyConfig {
 /// How a [`PolicyPlanner`] executes its optimizations.
 #[derive(Debug, Clone)]
 enum PlanBackend {
-    /// Unmemoized: every call rebuilds the models and re-runs Algorithm 1,
-    /// exactly like [`ChronosPolicyConfig::try_optimize_r`]. The reference
-    /// the memoized paths are bit-compared against.
+    /// Unmemoized: every call rebuilds the optimizer and the models and
+    /// re-runs Algorithm 1 through [`Planner::solve_uncached`]. The
+    /// reference the memoized paths are bit-compared against.
     Direct,
     /// Memoized through a `chronos-plan` [`Planner`] (private or shared
     /// cache).
@@ -255,7 +216,7 @@ impl PolicyPlanner {
 
     /// Plans one submitted job, memoized (unless this is the uncached
     /// reference backend). The plan's outcome is bit-identical to
-    /// [`ChronosPolicyConfig::try_optimize_r`] on the same inputs.
+    /// `Optimizer::optimize` on [`PolicyPlanner::request_for`]'s request.
     ///
     /// # Errors
     ///
@@ -288,8 +249,7 @@ impl PolicyPlanner {
     /// The `r` a policy should use for a submitted job: the forced
     /// [`ChronosPolicyConfig::fixed_r`] when set, the planned optimum when
     /// the problem is solvable, and [`ChronosPolicyConfig::fallback_r`]
-    /// otherwise — element-for-element identical to the historical
-    /// [`ChronosPolicyConfig::optimize_r`] path.
+    /// otherwise.
     #[must_use]
     pub fn optimize_r(&self, job: &JobSubmitView, kind: StrategyKind) -> u32 {
         if let Some(fixed) = self.config.fixed_r {
@@ -430,9 +390,9 @@ mod tests {
 
     #[test]
     fn optimization_returns_positive_r_for_tight_deadlines() {
-        let cfg = ChronosPolicyConfig::testbed();
+        let planner = PolicyPlanner::uncached(ChronosPolicyConfig::testbed());
         for kind in StrategyKind::ALL {
-            let r = cfg.optimize_r(&submit_view(100.0), kind);
+            let r = planner.optimize_r(&submit_view(100.0), kind);
             assert!(r >= 1, "{kind}: {r}");
             assert!(r <= 16, "{kind}: {r}");
         }
@@ -444,10 +404,11 @@ mod tests {
         // exceed the deadline, so the strategy validation fails and the
         // fallback is used.
         let cfg = ChronosPolicyConfig::testbed();
-        let r = cfg.optimize_r(&submit_view(21.0), StrategyKind::SpeculativeRestart);
+        let planner = PolicyPlanner::uncached(cfg);
+        let r = planner.optimize_r(&submit_view(21.0), StrategyKind::SpeculativeRestart);
         assert_eq!(r, cfg.fallback_r);
-        assert!(cfg
-            .try_optimize_r(&submit_view(21.0), StrategyKind::SpeculativeRestart)
+        assert!(planner
+            .try_plan(&submit_view(21.0), StrategyKind::SpeculativeRestart)
             .is_err());
     }
 
@@ -459,21 +420,21 @@ mod tests {
 
     #[test]
     fn fixed_r_bypasses_the_optimizer() {
-        let cfg = ChronosPolicyConfig::testbed().with_fixed_r(7);
+        let planner = PolicyPlanner::uncached(ChronosPolicyConfig::testbed().with_fixed_r(7));
         for kind in StrategyKind::ALL {
-            assert_eq!(cfg.optimize_r(&submit_view(100.0), kind), 7);
+            assert_eq!(planner.optimize_r(&submit_view(100.0), kind), 7);
         }
         // Even infeasible jobs use the forced value.
         assert_eq!(
-            cfg.optimize_r(&submit_view(21.0), StrategyKind::SpeculativeRestart),
+            planner.optimize_r(&submit_view(21.0), StrategyKind::SpeculativeRestart),
             7
         );
     }
 
     #[test]
     fn larger_theta_shrinks_r() {
-        let small = ChronosPolicyConfig::with_theta(1e-5).unwrap();
-        let large = ChronosPolicyConfig::with_theta(1e-3).unwrap();
+        let small = PolicyPlanner::uncached(ChronosPolicyConfig::with_theta(1e-5).unwrap());
+        let large = PolicyPlanner::uncached(ChronosPolicyConfig::with_theta(1e-3).unwrap());
         for kind in StrategyKind::ALL {
             let r_small = small.optimize_r(&submit_view(100.0), kind);
             let r_large = large.optimize_r(&submit_view(100.0), kind);
@@ -557,8 +518,9 @@ mod tests {
 
     #[test]
     fn policy_planner_matches_the_legacy_unmemoized_path() {
-        // All three backends must agree with ChronosPolicyConfig::optimize_r
-        // on every job and strategy — memoization is wall-clock only.
+        // All three backends must agree with a plain `Optimizer::optimize`
+        // on `request_for`'s request (errors resolving to `fallback_r`) on
+        // every job and strategy — memoization is wall-clock only.
         let cfg = ChronosPolicyConfig::testbed();
         let cache = PlanCache::shared();
         let planners = [
@@ -566,9 +528,13 @@ mod tests {
             PolicyPlanner::with_cache(cfg, Arc::clone(&cache)),
             PolicyPlanner::uncached(cfg),
         ];
+        let optimizer = Optimizer::with_config(cfg.objective, cfg.optimizer).unwrap();
         for deadline in [21.0, 60.0, 100.0, 300.0] {
             for kind in StrategyKind::ALL {
-                let legacy = cfg.optimize_r(&submit_view(deadline), kind);
+                let legacy = planners[2]
+                    .request_for(&submit_view(deadline), kind)
+                    .and_then(|request| optimizer.optimize(&request.job, &request.params))
+                    .map_or(cfg.fallback_r, |outcome| outcome.r);
                 for planner in &planners {
                     assert_eq!(
                         planner.optimize_r(&submit_view(deadline), kind),
